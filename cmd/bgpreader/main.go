@@ -331,37 +331,47 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	out := newBufferedWriter(stdout)
-	defer out.Flush()
 	// In live modes lines trickle in; flushing per line keeps output
 	// latency at the feed's latency instead of the buffer's fill time.
 	live := *risLive != "" || stream.Filters().Live
 	printed := 0
-	emit := func(line string) bool {
-		fmt.Fprintln(out, line)
-		if live {
-			out.Flush()
+	var werr error // first write or flush error: stops the loop, fails the run
+	emit := func(line []byte) bool {
+		if _, werr = out.Write(line); werr == nil && live {
+			werr = out.Flush()
+		}
+		if werr != nil {
+			return false
 		}
 		printed++
 		return *stopAfter == 0 || printed < *stopAfter
 	}
+	// Lines are rendered into one reused scratch slice, on this
+	// goroutine and before the next pull: elems are only valid until
+	// then (docs/ARCHITECTURE.md, memory ownership).
+	line := make([]byte, 0, 512)
 	if *records {
 		for rec := range stream.Records() {
-			if !emit(bgpdump.FormatRecord(rec)) {
+			line = append(bgpdump.AppendRecord(line[:0], rec), '\n')
+			if !emit(line) {
 				break
 			}
 		}
 	} else {
 		for rec, elem := range stream.Elems() {
-			var line string
 			if *machine {
-				line = bgpdump.FormatElem(rec, elem)
+				line = bgpdump.AppendElem(line[:0], rec, elem)
 			} else {
-				line = bgpdump.FormatElemVerbose(rec, elem)
+				line = bgpdump.AppendElemVerbose(line[:0], rec, elem)
 			}
+			line = append(line, '\n')
 			if !emit(line) {
 				break
 			}
 		}
+	}
+	if err := out.Flush(); werr == nil {
+		werr = err
 	}
 	if *verbose {
 		// Close first: it quiesces the producer goroutines, so the
@@ -374,6 +384,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err := stream.Err(); err != nil && ctx.Err() == nil {
 		return err
+	}
+	if werr != nil {
+		return fmt.Errorf("write output: %w", werr)
 	}
 	return nil // clean EOF, -n bound, or interrupt
 }

@@ -176,17 +176,19 @@ func TestShowSources(t *testing.T) {
 	}
 }
 
-// TestRunRepairedFeed runs the real command path over a repaired push
-// feed: a replayed archive behind an SSE server with periodic forced
-// disconnects, backfilled from the same archive directory. The -v
-// counters must reach stderr and -n must bound the live run.
-func TestRunRepairedFeed(t *testing.T) {
-	start := time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
+var archiveStart = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
+
+// genArchive writes one simulated hour from archiveStart — two
+// collectors, a RIB dump each plus update files carrying churn
+// background flaps per hour — and returns the archive directory.
+func genArchive(t *testing.T, churn float64) string {
+	t.Helper()
 	topo := astopo.Generate(astopo.DefaultParams(7))
 	sim, err := collector.NewSimulator(collector.Config{
-		Topo:       topo,
-		Collectors: collector.DefaultCollectors(topo, 2),
-		Seed:       7,
+		Topo:              topo,
+		Collectors:        collector.DefaultCollectors(topo, 2),
+		ChurnFlapsPerHour: churn,
+		Seed:              7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +198,18 @@ func TestRunRepairedFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.GenerateArchive(store, start, start.Add(time.Hour)); err != nil {
+	if _, err := sim.GenerateArchive(store, archiveStart, archiveStart.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestRunRepairedFeed runs the real command path over a repaired push
+// feed: a replayed archive behind an SSE server with periodic forced
+// disconnects, backfilled from the same archive directory. The -v
+// counters must reach stderr and -n must bound the live run.
+func TestRunRepairedFeed(t *testing.T) {
+	dir := genArchive(t, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -216,7 +227,7 @@ func TestRunRepairedFeed(t *testing.T) {
 		}
 		rs := core.NewStream(ctx, &core.Directory{Dir: dir}, core.Filters{})
 		n := 0
-		last := start
+		last := archiveStart
 		for ctx.Err() == nil {
 			rec, elem, err := rs.NextElem()
 			if err != nil {

@@ -24,30 +24,31 @@ type PathSegment struct {
 // String renders the segment in the format used by bgpdump: sequences
 // as space-separated ASNs, sets as "{1,2,3}".
 func (s PathSegment) String() string {
-	var b strings.Builder
-	s.appendString(&b)
-	return b.String()
+	var buf [64]byte
+	return string(s.AppendText(buf[:0]))
 }
 
-func (s PathSegment) appendString(b *strings.Builder) {
-	switch s.Type {
-	case SegmentASSet, SegmentConfedSet:
-		b.WriteByte('{')
-		for i, as := range s.ASNs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatUint(uint64(as), 10))
-		}
-		b.WriteByte('}')
-	default:
-		for i, as := range s.ASNs {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(strconv.FormatUint(uint64(as), 10))
-		}
+// AppendText appends the String rendering of the segment to dst and
+// returns the extended slice.
+//
+//bgp:hotpath
+func (s PathSegment) AppendText(dst []byte) []byte {
+	sep := byte(' ')
+	set := s.Type == SegmentASSet || s.Type == SegmentConfedSet
+	if set {
+		sep = ','
+		dst = append(dst, '{')
 	}
+	for i, as := range s.ASNs {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = strconv.AppendUint(dst, uint64(as), 10)
+	}
+	if set {
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // ASPath is a sequence of path segments as carried in the AS_PATH
@@ -58,14 +59,23 @@ type ASPath struct {
 
 // String renders the path in bgpdump format, e.g. "701 174 {4777,9318}".
 func (p ASPath) String() string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(p.AppendText(buf[:0]))
+}
+
+// AppendText appends the String rendering of the path to dst and
+// returns the extended slice. It is the one AS-path renderer: String
+// and the bgpdump line formats are built on it.
+//
+//bgp:hotpath
+func (p ASPath) AppendText(dst []byte) []byte {
 	for i, seg := range p.Segments {
 		if i > 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		seg.appendString(&b)
+		dst = seg.AppendText(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Len returns the AS-path length as used in BGP best-path selection:

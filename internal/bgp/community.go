@@ -25,7 +25,18 @@ func (c Community) Value() uint16 { return uint16(c & 0xFFFF) }
 
 // String renders the community in the canonical "asn:value" form.
 func (c Community) String() string {
-	return strconv.Itoa(int(c.ASN())) + ":" + strconv.Itoa(int(c.Value()))
+	var buf [11]byte // "65535:65535"
+	return string(c.AppendText(buf[:0]))
+}
+
+// AppendText appends the "asn:value" form to dst and returns the
+// extended slice.
+//
+//bgp:hotpath
+func (c Community) AppendText(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(c.ASN()), 10)
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, uint64(c.Value()), 10)
 }
 
 // ParseCommunity parses the "asn:value" form produced by String.
@@ -51,11 +62,22 @@ type Communities []Community
 
 // String renders the list space-separated in bgpdump style.
 func (cs Communities) String() string {
-	parts := make([]string, len(cs))
+	var buf [128]byte
+	return string(cs.AppendText(buf[:0]))
+}
+
+// AppendText appends the space-separated String rendering of the list
+// to dst and returns the extended slice.
+//
+//bgp:hotpath
+func (cs Communities) AppendText(dst []byte) []byte {
 	for i, c := range cs {
-		parts[i] = c.String()
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = c.AppendText(dst)
 	}
-	return strings.Join(parts, " ")
+	return dst
 }
 
 // Contains reports whether c is present.
