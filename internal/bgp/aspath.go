@@ -174,38 +174,6 @@ func SequencePath(asns ...uint32) ASPath {
 	return ASPath{Segments: []PathSegment{{Type: SegmentASSequence, ASNs: asns}}}
 }
 
-// DecodeASPath decodes an AS_PATH attribute body. asSize must be 2 or 4
-// (octets per ASN): BGP4MP MESSAGE records carry 2-octet paths unless
-// the AS4 subtype is used, while TABLE_DUMP_V2 RIB entries always carry
-// 4-octet paths (RFC 6396 §4.3.4).
-func DecodeASPath(buf []byte, asSize int) (ASPath, error) {
-	var path ASPath
-	off := 0
-	for off < len(buf) {
-		if len(buf)-off < 2 {
-			return ASPath{}, wireErr("as-path", off, ErrTruncated)
-		}
-		segType := buf[off]
-		count := int(buf[off+1])
-		off += 2
-		need := count * asSize
-		if len(buf)-off < need {
-			return ASPath{}, wireErr("as-path", off, ErrTruncated)
-		}
-		seg := PathSegment{Type: segType, ASNs: make([]uint32, count)}
-		for i := 0; i < count; i++ {
-			if asSize == 2 {
-				seg.ASNs[i] = uint32(binary.BigEndian.Uint16(buf[off:]))
-			} else {
-				seg.ASNs[i] = binary.BigEndian.Uint32(buf[off:])
-			}
-			off += asSize
-		}
-		path.Segments = append(path.Segments, seg)
-	}
-	return path, nil
-}
-
 // AppendASPath appends the wire encoding of path to dst using asSize
 // (2 or 4) octets per ASN. Segments longer than 255 ASNs are split.
 // When encoding with 2-octet ASNs, values above 65535 are replaced by

@@ -143,170 +143,6 @@ func decodeAttrHeader(buf []byte, off int) (attrHeader, int, error) {
 	return h, n + h.valueLen, nil
 }
 
-// DecodeAttributes decodes a packed path-attribute block. asSize is the
-// octets per ASN for the AS_PATH attribute (2 or 4; see DecodeASPath).
-func DecodeAttributes(buf []byte, asSize int) (PathAttributes, error) {
-	var a PathAttributes
-	off := 0
-	for off < len(buf) {
-		h, next, err := decodeAttrHeader(buf, off)
-		if err != nil {
-			return a, err
-		}
-		val := buf[h.valueOff : h.valueOff+h.valueLen]
-		if err := a.decodeOne(h, val, asSize); err != nil {
-			return a, err
-		}
-		off = next
-	}
-	return a, nil
-}
-
-func (a *PathAttributes) decodeOne(h attrHeader, val []byte, asSize int) error {
-	switch h.typ {
-	case AttrOrigin:
-		if len(val) != 1 {
-			return wireErr("origin", h.valueOff, ErrBadLength)
-		}
-		v := val[0]
-		a.Origin = &v
-	case AttrASPath:
-		p, err := DecodeASPath(val, asSize)
-		if err != nil {
-			return err
-		}
-		a.ASPath = p
-		a.HasASPath = true
-	case AttrNextHop:
-		if len(val) != 4 {
-			return wireErr("next-hop", h.valueOff, ErrBadLength)
-		}
-		a.NextHop = netip.AddrFrom4([4]byte(val))
-	case AttrMED:
-		if len(val) != 4 {
-			return wireErr("med", h.valueOff, ErrBadLength)
-		}
-		v := binary.BigEndian.Uint32(val)
-		a.MED = &v
-	case AttrLocalPref:
-		if len(val) != 4 {
-			return wireErr("local-pref", h.valueOff, ErrBadLength)
-		}
-		v := binary.BigEndian.Uint32(val)
-		a.LocalPref = &v
-	case AttrAtomicAggregate:
-		a.AtomicAggregate = true
-	case AttrAggregator:
-		ag, err := decodeAggregator(val, asSize)
-		if err != nil {
-			return err
-		}
-		a.Aggregator = ag
-	case AttrAS4Aggregator:
-		ag, err := decodeAggregator(val, 4)
-		if err != nil {
-			return err
-		}
-		a.Aggregator = ag
-	case AttrCommunities:
-		cs, err := DecodeCommunities(val)
-		if err != nil {
-			return err
-		}
-		a.Communities = cs
-	case AttrMPReachNLRI:
-		mp, err := decodeMPReach(val)
-		if err != nil {
-			return err
-		}
-		a.MPReach = mp
-	case AttrMPUnreachNLRI:
-		mp, err := decodeMPUnreach(val)
-		if err != nil {
-			return err
-		}
-		a.MPUnreach = mp
-	case AttrAS4Path:
-		p, err := DecodeASPath(val, 4)
-		if err != nil {
-			return err
-		}
-		a.AS4Path = &p
-	default:
-		a.Unknown = append(a.Unknown, RawAttr{
-			Flags: h.flags, Type: h.typ, Value: append([]byte(nil), val...),
-		})
-	}
-	return nil
-}
-
-func decodeAggregator(val []byte, asSize int) (*Aggregator, error) {
-	switch {
-	case asSize == 2 && len(val) == 6:
-		return &Aggregator{
-			ASN:  uint32(binary.BigEndian.Uint16(val)),
-			Addr: netip.AddrFrom4([4]byte(val[2:6])),
-		}, nil
-	case len(val) == 8:
-		return &Aggregator{
-			ASN:  binary.BigEndian.Uint32(val),
-			Addr: netip.AddrFrom4([4]byte(val[4:8])),
-		}, nil
-	default:
-		return nil, wireErr("aggregator", 0, ErrBadLength)
-	}
-}
-
-func decodeMPReach(val []byte) (*MPReach, error) {
-	if len(val) < 5 {
-		return nil, wireErr("mp-reach", 0, ErrTruncated)
-	}
-	mp := &MPReach{
-		AFI:  binary.BigEndian.Uint16(val),
-		SAFI: val[2],
-	}
-	nhLen := int(val[3])
-	if len(val) < 4+nhLen+1 {
-		return nil, wireErr("mp-reach", 4, ErrTruncated)
-	}
-	nh := val[4 : 4+nhLen]
-	switch nhLen {
-	case 4:
-		mp.NextHop = netip.AddrFrom4([4]byte(nh))
-	case 16:
-		mp.NextHop = netip.AddrFrom16([16]byte(nh))
-	case 32:
-		mp.NextHop = netip.AddrFrom16([16]byte(nh[:16]))
-		mp.LinkLocal = netip.AddrFrom16([16]byte(nh[16:]))
-	default:
-		return nil, wireErr("mp-reach", 3, ErrBadLength)
-	}
-	// one reserved octet then NLRI
-	rest := val[4+nhLen+1:]
-	nlri, err := DecodeNLRIList(rest, mp.AFI)
-	if err != nil {
-		return nil, err
-	}
-	mp.NLRI = nlri
-	return mp, nil
-}
-
-func decodeMPUnreach(val []byte) (*MPUnreach, error) {
-	if len(val) < 3 {
-		return nil, wireErr("mp-unreach", 0, ErrTruncated)
-	}
-	mp := &MPUnreach{
-		AFI:  binary.BigEndian.Uint16(val),
-		SAFI: val[2],
-	}
-	nlri, err := DecodeNLRIList(val[3:], mp.AFI)
-	if err != nil {
-		return nil, err
-	}
-	mp.NLRI = nlri
-	return mp, nil
-}
-
 // appendAttr writes one attribute with correct framing, using the
 // extended-length encoding automatically when the value exceeds 255
 // bytes.

@@ -98,7 +98,7 @@ func TestNLRIListRoundTrip(t *testing.T) {
 		mustPrefix(t, "198.51.100.0/25"),
 	}
 	enc := AppendNLRIList(nil, want)
-	got, err := DecodeNLRIList(enc, AFIIPv4)
+	got, err := new(Decoder).DecodeNLRIList(enc, AFIIPv4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestASPathRoundTrip2And4(t *testing.T) {
 	}}
 	for _, size := range []int{2, 4} {
 		enc := AppendASPath(nil, p, size)
-		got, err := DecodeASPath(enc, size)
+		got, err := new(Decoder).DecodeASPath(enc, size)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -180,7 +180,7 @@ func TestASPathRoundTrip2And4(t *testing.T) {
 func TestASPath2ByteSubstitutesASTrans(t *testing.T) {
 	p := SequencePath(196608, 701) // 196608 > 0xFFFF
 	enc := AppendASPath(nil, p, 2)
-	got, err := DecodeASPath(enc, 2)
+	got, err := new(Decoder).DecodeASPath(enc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestASPathLongSegmentSplit(t *testing.T) {
 	}
 	p := SequencePath(asns...)
 	enc := AppendASPath(nil, p, 4)
-	got, err := DecodeASPath(enc, 4)
+	got, err := new(Decoder).DecodeASPath(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func TestCommunityParts(t *testing.T) {
 func TestCommunitiesRoundTrip(t *testing.T) {
 	cs := Communities{NewCommunity(701, 120), NewCommunity(3356, 9999)}
 	enc := AppendCommunities(nil, cs)
-	got, err := DecodeCommunities(enc)
+	got, err := new(Decoder).DecodeCommunities(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cs) {
 		t.Errorf("got %v, want %v", got, cs)
 	}
-	if _, err := DecodeCommunities([]byte{1, 2, 3}); !errors.Is(err, ErrBadLength) {
+	if _, err := new(Decoder).DecodeCommunities([]byte{1, 2, 3}); !errors.Is(err, ErrBadLength) {
 		t.Errorf("odd length: got %v, want ErrBadLength", err)
 	}
 }
@@ -289,7 +289,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 	want := testUpdate(t)
 	for _, asSize := range []int{2, 4} {
 		enc := EncodeUpdate(want, asSize)
-		got, err := DecodeUpdateMessage(enc, asSize)
+		got, err := new(Decoder).DecodeUpdateMessage(enc, asSize)
 		if err != nil {
 			t.Fatalf("asSize %d: %v", asSize, err)
 		}
@@ -330,7 +330,7 @@ func TestUpdateIPv6MPReach(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestUpdateMPUnreach(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestUpdateLinkLocalNextHop(t *testing.T) {
 		},
 	}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestAggregatorRoundTrip(t *testing.T) {
 			NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")},
 		}
 		enc := EncodeUpdate(u, asSize)
-		got, err := DecodeUpdateMessage(enc, asSize)
+		got, err := new(Decoder).DecodeUpdateMessage(enc, asSize)
 		if err != nil {
 			t.Fatalf("asSize %d: %v", asSize, err)
 		}
@@ -474,7 +474,7 @@ func TestAutoAS4PathEmitted(t *testing.T) {
 		NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")},
 	}
 	enc := EncodeUpdate(u, 2)
-	got, err := DecodeUpdateMessage(enc, 2)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestUnknownAttrPreserved(t *testing.T) {
 	u := testUpdate(t)
 	u.Attrs.Unknown = []RawAttr{{Flags: FlagOptional | FlagTransitive, Type: 99, Value: []byte{1, 2, 3}}}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestExtendedLengthAttr(t *testing.T) {
 	}
 	u := &Update{Attrs: PathAttributes{Communities: cs}, NLRI: []netip.Prefix{mustPrefix(t, "10.0.0.0/8")}}
 	enc := EncodeUpdate(u, 4)
-	got, err := DecodeUpdateMessage(enc, 4)
+	got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestQuickASPathRoundTrip(t *testing.T) {
 			p.Segments = append(p.Segments, PathSegment{Type: typ, ASNs: asns})
 		}
 		enc := AppendASPath(nil, p, 4)
-		got, err := DecodeASPath(enc, 4)
+		got, err := new(Decoder).DecodeASPath(enc, 4)
 		return err == nil && got.Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -606,7 +606,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			u.Withdrawn = append(u.Withdrawn, quickPrefix(r))
 		}
 		enc := EncodeUpdate(u, 4)
-		got, err := DecodeUpdateMessage(enc, 4)
+		got, err := new(Decoder).DecodeUpdateMessage(enc, 4)
 		if err != nil {
 			return false
 		}
@@ -626,12 +626,11 @@ func TestDecodeAttributesTruncation(t *testing.T) {
 	u := testUpdate(t)
 	full := AppendAttributes(nil, &u.Attrs, 4)
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := DecodeAttributes(full[:cut], 4); err == nil {
+		if a, err := new(Decoder).DecodeAttributes(full[:cut], 4); err == nil {
 			// Truncation at an attribute boundary parses a shorter
 			// valid block; only intra-attribute cuts must fail. Verify
 			// re-encode differs instead.
-			a, _ := DecodeAttributes(full[:cut], 4)
-			re := AppendAttributes(nil, &a, 4)
+			re := AppendAttributes(nil, a, 4)
 			if len(re) == len(full) {
 				t.Fatalf("cut %d silently decoded whole block", cut)
 			}
@@ -652,10 +651,11 @@ func BenchmarkDecodeUpdate(b *testing.B) {
 		NLRI: []netip.Prefix{netip.MustParsePrefix("198.51.100.0/24")},
 	}
 	enc := EncodeUpdate(u, 4)
+	var dec Decoder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeUpdateMessage(enc, 4); err != nil {
+		if _, err := dec.DecodeUpdateMessage(enc, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,14 +5,13 @@ import (
 	"net/netip"
 )
 
-// Decoder is the owning side of the decode stack's memory model. The
-// free functions (DecodeUpdateBody, DecodeAttributes, DecodeASPath,
-// DecodeCommunities, DecodeNLRIList) allocate fresh storage on every
-// call and hand the caller full ownership — correct, but ~5 heap
-// allocations per decoded elem. A Decoder is the per-reader
-// alternative: one instance per stream consumer / decode worker /
+// Decoder is the package's only decoder of UPDATE bodies, path
+// attributes, AS paths, communities and NLRI lists (DecodeMessage and
+// DecodeNLRI frame single items and need no state). It owns the decode
+// stack's memory: one instance per stream consumer / decode worker /
 // connection, carrying reusable scratch plus geometric arenas, so a
-// steady-state decode performs no allocation at all.
+// steady-state decode performs no allocation at all. A caller decoding
+// once uses new(Decoder) and keeps the result as its own.
 //
 // Outputs fall into two ownership classes with one caller-facing
 // contract:
@@ -75,8 +74,9 @@ const (
 	maxCommChunk = 8192
 )
 
-// Package-level empty slices keep the Decoder's nil-vs-empty semantics
-// identical to the free functions without per-call literals.
+// Package-level empty slices give a present-but-empty AS-path segment
+// or COMMUNITIES attribute a non-nil empty result, distinct from an
+// absent one, without per-call literals.
 var (
 	emptyASNs        = make([]uint32, 0)
 	emptyCommunities = make(Communities, 0)
@@ -152,10 +152,12 @@ func (d *Decoder) commSlice(n int) []Community {
 }
 
 // DecodeASPath decodes an AS_PATH attribute body into arena-backed
-// segments. Semantics (asSize, error offsets, nil-vs-empty) match the
-// free DecodeASPath; the returned path's backing follows the arena
-// rules above, so it remains valid across subsequent decodes for as
-// long as it is referenced.
+// segments. asSize must be 2 or 4 (octets per ASN): BGP4MP MESSAGE
+// records carry 2-octet paths unless the AS4 subtype is used, while
+// TABLE_DUMP_V2 RIB entries always carry 4-octet paths (RFC 6396
+// §4.3.4). The returned path's backing follows the arena rules above,
+// so it remains valid across subsequent decodes for as long as it is
+// referenced.
 //
 //bgp:hotpath
 func (d *Decoder) DecodeASPath(buf []byte, asSize int) (ASPath, error) {
@@ -265,8 +267,7 @@ func (d *Decoder) DecodeNLRIList(buf []byte, afi uint16) ([]netip.Prefix, error)
 // decoder's attribute scratch. The returned attributes and their
 // pointer fields are transient (valid until the next Decode* call);
 // the AS-path and community backing inside them is arena-retained.
-// Like the free DecodeAttributes, on error the partially-decoded
-// attributes are still returned.
+// On error the partially-decoded attributes are still returned.
 //
 //bgp:hotpath
 func (d *Decoder) DecodeAttributes(buf []byte, asSize int) (*PathAttributes, error) {

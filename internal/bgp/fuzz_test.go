@@ -13,8 +13,8 @@ import (
 // Fuzz harnesses for the attribute-block and UPDATE-body decoders, the
 // two entry points through which untrusted archive bytes reach the
 // Decoder's scratch arenas. Each input is decoded twice — once through
-// the allocating free functions (the reference implementation) and
-// once through a reused Decoder — and the two must agree on error-ness
+// the allocating reference decoders in reference_test.go and once
+// through a reused Decoder — and the two must agree on error-ness
 // and, on success, on every decoded field; afterwards the
 // arena-retention invariant is checked by decoding more input through
 // the same Decoder and re-reading values retained from the first
@@ -112,7 +112,7 @@ func prefixesEqual(a, b []netip.Prefix) bool {
 }
 
 // pathsEqual is ASPath.Equal plus nil-vs-empty strictness, so the
-// Decoder cannot silently diverge from the free functions' slice
+// Decoder cannot silently diverge from the reference's slice
 // semantics.
 func pathsEqual(a, b ASPath) bool {
 	if (a.Segments == nil) != (b.Segments == nil) {
@@ -282,8 +282,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	emit("FuzzDecodeUpdateBody", fuzzUpdateSeeds())
 }
 
-// FuzzDecodeAttributes pins Decoder.DecodeAttributes to the free
-// DecodeAttributes reference: identical error strings, identical
+// FuzzDecodeAttributes pins Decoder.DecodeAttributes to the
+// decodeAttributes reference: identical error strings, identical
 // decoded fields, and retained arena-backed outputs that survive
 // decoder reuse.
 func FuzzDecodeAttributes(f *testing.F) {
@@ -296,7 +296,7 @@ func FuzzDecodeAttributes(f *testing.F) {
 		if as4 {
 			asSize = 4
 		}
-		ref, refErr := DecodeAttributes(data, asSize)
+		ref, refErr := decodeAttributes(data, asSize)
 		var dec Decoder
 		// A pre-decode of the same input dirties the scratch, so the
 		// compared decode also proves per-call resets are complete.
@@ -313,8 +313,8 @@ func FuzzDecodeAttributes(f *testing.F) {
 	})
 }
 
-// FuzzDecodeUpdateBody pins Decoder.DecodeUpdateBody to the free
-// DecodeUpdateBody reference the same way, through the UPDATE framing
+// FuzzDecodeUpdateBody pins Decoder.DecodeUpdateBody to the
+// decodeUpdateBody reference the same way, through the UPDATE framing
 // layer (withdrawn-routes and attribute length fields included).
 func FuzzDecodeUpdateBody(f *testing.F) {
 	for _, s := range fuzzUpdateSeeds() {
@@ -326,7 +326,7 @@ func FuzzDecodeUpdateBody(f *testing.F) {
 		if as4 {
 			asSize = 4
 		}
-		ref, refErr := DecodeUpdateBody(data, asSize)
+		ref, refErr := decodeUpdateBody(data, asSize)
 		var dec Decoder
 		dec.DecodeUpdateBody(data, 6-asSize)
 		got, gotErr := dec.DecodeUpdateBody(data, asSize)

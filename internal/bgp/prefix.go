@@ -53,25 +53,6 @@ func DecodeNLRI(buf []byte, afi uint16) (netip.Prefix, int, error) {
 	return p, 1 + n, nil
 }
 
-// DecodeNLRIList decodes a packed sequence of NLRI prefixes that fills
-// buf completely, as found in UPDATE withdrawn-routes and NLRI fields.
-func DecodeNLRIList(buf []byte, afi uint16) ([]netip.Prefix, error) {
-	var out []netip.Prefix
-	off := 0
-	for off < len(buf) {
-		p, n, err := DecodeNLRI(buf[off:], afi)
-		if err != nil {
-			if we, ok := err.(*WireError); ok {
-				we.Offset += off
-			}
-			return nil, err
-		}
-		out = append(out, p)
-		off += n
-	}
-	return out, nil
-}
-
 // AppendNLRIList appends the wire encoding of each prefix in ps to dst.
 func AppendNLRIList(dst []byte, ps []netip.Prefix) []byte {
 	for _, p := range ps {

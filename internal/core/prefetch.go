@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 
 	"github.com/bgpstream-go/bgpstream/internal/merge"
@@ -128,6 +129,13 @@ func newPrefetchSource(inner *dumpSource, g *prefetchGroup, readahead int) *pref
 func (s *prefetchSource) run() {
 	defer close(s.ch)
 	for {
+		// Yield before competing for a slot. A worker that never blocks
+		// (slot free, queue not full) otherwise keeps its processor:
+		// workers launched after it and the consumer it just woke wait
+		// in the run queue until it fills its readahead queue or is
+		// preempted, so the merge, which needs every source's first
+		// batch, stalls behind the few files that happened to start.
+		runtime.Gosched()
 		select {
 		case s.g.sem <- struct{}{}:
 		case <-s.g.stop:

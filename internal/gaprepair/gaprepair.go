@@ -22,11 +22,14 @@
 //   - Backfill workers. Loss windows the source reports through
 //     core.GapReporter — or that are restored from the on-disk cursor
 //     after a restart — are fetched from an archive-class core.Source
-//     by a bounded worker pool, with bounded retries and exponential
-//     backoff per window. A window [From, Until] is conservative:
-//     every missed elem falls inside it, but elems inside it may also
-//     have been delivered. Windows whose retry budget is exhausted
-//     are abandoned (counted, logged) rather than retried forever.
+//     by a bounded worker pool, each window under a
+//     resilience.Policy (bounded attempts, jittered exponential
+//     backoff, Retry-After hints, permanent errors not retried). A
+//     window [From, Until] is conservative: every missed elem falls
+//     inside it, but elems inside it may also have been delivered.
+//     Windows whose fetch fails permanently or exhausts the retry
+//     budget are abandoned (counted, logged) rather than retried
+//     forever.
 //
 //   - Splice. A coordinator holds back the live flow behind the
 //     earliest outstanding window (bounded; on overflow the covered
@@ -88,7 +91,8 @@ type Options struct {
 	// above feed-rate × worst-case fetch latency to keep the pump
 	// stall-free.
 	HoldbackLimit int
-	// Timeout bounds each backfill fetch attempt (default 30s).
+	// Timeout bounds each backfill fetch attempt (default 30s): the
+	// retry policy's AttemptTimeout.
 	Timeout time.Duration
 	// RecentWindow sizes the ring of recently delivered elems used to
 	// deduplicate the leading edge of a backfill window (default
@@ -99,12 +103,15 @@ type Options struct {
 	// (default 2). Fetches run in worker goroutines, so the live pump
 	// keeps draining regardless.
 	Concurrency int
-	// RetryMax bounds fetch attempts per window (default 3); a window
-	// still failing after that is abandoned — counted in
-	// SourceStats.RepairsAbandoned — and its hole stays.
+	// RetryMax bounds fetch attempts per window (default 3): the retry
+	// policy's MaxAttempts. A window still failing after that is
+	// abandoned — counted in SourceStats.RepairsAbandoned — and its
+	// hole stays.
 	RetryMax int
-	// RetryBackoff is the delay before the second attempt, doubled per
-	// further retry (default 500ms).
+	// RetryBackoff is the delay before the second attempt (default
+	// 500ms): the retry policy's Backoff, jittered, doubled per further
+	// retry up to resilience.DefaultMaxBackoff, and floored by any
+	// Retry-After hint.
 	RetryBackoff time.Duration
 	// PollInterval is the cadence of time-driven repair checks:
 	// draining gap reports and re-checking splice readiness against
@@ -276,9 +283,10 @@ type window struct {
 
 // fetchResult is a worker's final verdict on one window.
 type fetchResult struct {
-	win   *window
-	items []pair
-	err   error
+	win      *window
+	items    []pair
+	err      error
+	attempts int // fetch attempts made, the failing one included
 }
 
 // Repairer wraps a lossy push source and emits a complete, time-ordered
@@ -451,18 +459,17 @@ func (r *Repairer) pump(ctx context.Context) {
 	}
 }
 
-// worker is the backfill stage: it fetches one window at a time with
-// bounded retries and exponential backoff, reporting the final
-// verdict to the coordinator.
+// worker is the backfill stage: it fetches one window at a time,
+// reporting the final verdict to the coordinator.
 func (r *Repairer) worker(ctx context.Context) {
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case w := <-r.jobs:
-			items, err := r.fetchWithRetries(ctx, w.gap)
+			res := r.fetchWithRetries(ctx, w)
 			select {
-			case r.results <- fetchResult{win: w, items: items, err: err}:
+			case r.results <- res:
 			case <-ctx.Done():
 				return
 			}
@@ -470,69 +477,51 @@ func (r *Repairer) worker(ctx context.Context) {
 	}
 }
 
-func (r *Repairer) fetchWithRetries(ctx context.Context, g core.Gap) ([]pair, error) {
-	backoff := r.opts.retryBackoff()
+// fetchWithRetries fetches one window under the resilience retry
+// policy: transient failures are retried with jittered exponential
+// backoff floored by any Retry-After hint, and a permanent one (a
+// 404/410 archive hole) abandons the window after that attempt
+// instead of burning the whole budget. Every failed attempt counts in
+// RepairFailures.
+func (r *Repairer) fetchWithRetries(ctx context.Context, w *window) fetchResult {
+	res := fetchResult{win: w}
 	max := r.opts.retryMax()
-	// One timer reused across retries: time.After in this loop would
-	// strand an allocated timer per attempt whenever ctx cancels the
-	// wait (goleak enforces this).
-	var retryTimer *time.Timer
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-	}()
-	for attempt := 1; ; attempt++ {
+	pol := resilience.Policy{
+		MaxAttempts:    max,
+		Backoff:        r.opts.retryBackoff(),
+		AttemptTimeout: r.opts.timeout(),
+		OnRetry: func(err error) {
+			r.failures.Add(1)
+			metFailures.Inc()
+			r.logf("gaprepair: backfill of %s failed (attempt %d/%d): %v", w.gap, res.attempts, max, err)
+		},
+	}
+	res.err = pol.Do(ctx, "backfill", func(actx context.Context) error {
+		res.attempts++
 		start := time.Now()
-		items, err := r.fetch(ctx, g)
+		items, err := r.fetch(actx, w.gap)
 		if err == nil {
 			metBackfillLatency.Observe(time.Since(start).Seconds())
-			return items, nil
+			res.items = items
 		}
-		if ctx.Err() != nil {
-			// Shutting down, not a backfill failure: surface the
-			// cancellation itself so the coordinator re-queues the
-			// window (and the cursor keeps it) instead of abandoning.
-			return nil, ctx.Err()
-		}
+		return err
+	})
+	if res.err != nil && ctx.Err() != nil {
+		// Shutting down, not a backfill failure: surface the
+		// cancellation itself — Do returns the last attempt's error
+		// when cancelled mid-backoff — so the coordinator re-queues the
+		// window (and the cursor keeps it) instead of abandoning.
+		res.err = ctx.Err()
+	} else if res.err != nil {
 		r.failures.Add(1)
 		metFailures.Inc()
-		if resilience.IsPermanent(err) {
-			// A 404/410 archive hole (or an explicitly permanent
-			// failure) will not heal with retries: abandon the window
-			// now instead of burning the whole retry budget on it.
-			r.logf("gaprepair: backfill of %s failed permanently (attempt %d/%d): %v", g, attempt, max, err)
-			return nil, err
-		}
-		r.logf("gaprepair: backfill of %s failed (attempt %d/%d): %v", g, attempt, max, err)
-		if attempt >= max {
-			return nil, err
-		}
-		delay := backoff
-		if hint := resilience.RetryAfterOf(err); hint > delay {
-			// The archive told us when to come back (Retry-After on a
-			// 429/503): believe it over our own schedule.
-			delay = hint
-		}
-		if retryTimer == nil {
-			retryTimer = time.NewTimer(delay)
-		} else {
-			retryTimer.Reset(delay)
-		}
-		select {
-		case <-retryTimer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		backoff *= 2
 	}
+	return res
 }
 
 // fetch drains one backfill window into normalised single-elem pairs.
 func (r *Repairer) fetch(ctx context.Context, w core.Gap) ([]pair, error) {
-	bctx, cancel := context.WithTimeout(ctx, r.opts.timeout())
-	defer cancel()
-	st, err := r.backfill.Backfill(bctx, w.From, w.Until)
+	st, err := r.backfill.Backfill(ctx, w.From, w.Until)
 	if err != nil {
 		return nil, err
 	}
@@ -746,7 +735,7 @@ func (co *coordinator) onResult(res fetchResult) {
 		w.state = winAbandoned
 		co.r.abandoned.Add(1)
 		metAbandoned.Inc()
-		co.r.logf("gaprepair: abandoning %s after %d attempts: %v", w.gap, co.r.opts.retryMax(), res.err)
+		co.r.logf("gaprepair: abandoning %s after %d attempts: %v", w.gap, res.attempts, res.err)
 	default:
 		w.state = winDone
 		w.items = res.items

@@ -3,9 +3,11 @@ package gaprepair
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,7 +286,8 @@ func TestRepairPermanentFailureAbandonsImmediately(t *testing.T) {
 		fail:    true,
 		failErr: &resilience.HTTPError{URL: "http://archive/missing.gz", Status: 404},
 	}
-	r := New(live, bf, Options{RetryMax: 5, RetryBackoff: time.Millisecond})
+	var log logLines
+	r := New(live, bf, Options{RetryMax: 5, RetryBackoff: time.Millisecond, Logf: log.logf})
 	defer r.Close()
 
 	out := drain(t, r)
@@ -298,6 +301,30 @@ func TestRepairPermanentFailureAbandonsImmediately(t *testing.T) {
 	if bf.count() != 1 {
 		t.Fatalf("backfill calls = %d, want 1 (permanent error, no retries)", bf.count())
 	}
+	// The abandon log reports the attempts actually made, not the
+	// retry budget.
+	if logs := log.String(); !strings.Contains(logs, "abandoning "+gapAt(1, 5).String()+" after 1 attempts") {
+		t.Fatalf("abandon log does not report 1 attempt:\n%s", logs)
+	}
+}
+
+// logLines captures Options.Logf output; the repairer logs from its
+// worker and coordinator goroutines.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logLines) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.lines, "\n")
 }
 
 // TestRepairHonorsRetryAfterHint: when the archive answers 429/503
@@ -786,5 +813,67 @@ func TestRepairCursorKeepsDropsWindowBelowEdge(t *testing.T) {
 	}
 	if counts[65000] != 0 || counts[65001] != 0 {
 		t.Fatalf("elems at/below the watermark re-delivered: %v", counts)
+	}
+}
+
+// TestRepairCloseDuringBackoffRequeuesWindow pins the shutdown
+// contract of the retry wait: a window whose fetch failed transiently
+// and is waiting out its backoff when Close lands is shutdown, not
+// retry exhaustion — the cursor keeps it as unrepaired and nothing is
+// abandoned. Close must also cut the wait short instead of sitting out
+// an hour-long Retry-After.
+func TestRepairCloseDuringBackoffRequeuesWindow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cursor.json")
+	universe := []pair{mkPair(0, 65000), mkPair(1, 65001)}
+	live := &quietLive{items: universe, gap: gapAt(1, 5), feed: t0.Add(5 * time.Second)}
+	bf := &fakeBackfill{
+		fail:    true,
+		failErr: &resilience.HTTPError{URL: "http://archive/busy", Status: 503, RetryAfter: time.Hour},
+	}
+	r := New(live, bf, Options{CursorPath: path, RetryMax: 3, PollInterval: 2 * time.Millisecond})
+	readN(t, r, 2)
+	// The first attempt's failure is counted before the backoff wait
+	// begins.
+	deadline := time.Now().Add(10 * time.Second)
+	for r.SourceStats().RepairFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("first backfill attempt never failed (stats %+v)", r.SourceStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	r.Close()
+	drain(t, r)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v: the backoff wait ignored shutdown", d)
+	}
+
+	st := r.SourceStats()
+	if st.RepairsAbandoned != 0 || st.RepairFailures != 1 || bf.count() != 1 {
+		t.Fatalf("stats = %+v after %d fetches, want 1 failure and nothing abandoned", st, bf.count())
+	}
+	cur, err := (&cursor{path: path}).load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Windows) != 1 || !cur.Windows[0].From.Equal(t0.Add(time.Second)) || !cur.Windows[0].Until.Equal(t0.Add(5*time.Second)) {
+		t.Fatalf("persisted windows = %+v, want the unrepaired [1,5]", cur.Windows)
+	}
+
+	// The same contract at the worker, where no coordinator race can
+	// hide it: a fetch cancelled mid-backoff reports the cancellation.
+	r2 := New(live, bf, Options{RetryMax: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(10*time.Second, cancel).Stop()
+	go func() {
+		for r2.SourceStats().RepairFailures == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	res := r2.fetchWithRetries(ctx, &window{gap: gapAt(1, 5)})
+	if !errors.Is(res.err, context.Canceled) || res.attempts != 1 || r2.SourceStats().RepairFailures != 1 {
+		t.Fatalf("fetch cancelled in backoff: err = %v after %d attempts (stats %+v), want context.Canceled after 1 counted failure",
+			res.err, res.attempts, r2.SourceStats())
 	}
 }

@@ -21,22 +21,12 @@ type BGP4MPMessage struct {
 	Data    []byte // the framed BGP message
 }
 
-// Update decodes the contained BGP message, which must be an UPDATE,
-// using the AS-number width implied by the record subtype. It
-// allocates fresh storage per call; hot paths use UpdateInto with a
-// per-reader bgp.Decoder instead.
-func (m *BGP4MPMessage) Update() (*bgp.Update, error) {
-	asSize := 2
-	if m.AS4 {
-		asSize = 4
-	}
-	return bgp.DecodeUpdateMessage(m.Data, asSize)
-}
-
-// UpdateInto decodes the contained UPDATE through dec. The returned
-// update follows dec's lifetime contract: transient scratch valid
-// until the next Decode* call, with AS-path/community backing retained
-// by dec's arenas (see bgp.Decoder).
+// UpdateInto decodes the contained BGP message, which must be an
+// UPDATE, through dec, using the AS-number width implied by the record
+// subtype. The returned update follows dec's lifetime contract:
+// transient scratch valid until the next Decode* call, with
+// AS-path/community backing retained by dec's arenas (see
+// bgp.Decoder).
 //
 //bgp:hotpath
 func (m *BGP4MPMessage) UpdateInto(dec *bgp.Decoder) (*bgp.Update, error) {
@@ -108,10 +98,9 @@ func decodeBGP4MPPreamble(buf []byte, as4 bool) (peerAS, localAS uint32, ifIndex
 }
 
 // DecodeBGP4MPMessageTo decodes a MESSAGE or MESSAGE_AS4 record body
-// into m, reusing its storage: the allocation-free form of
-// DecodeBGP4MPMessage for per-reader decode loops. m.Data aliases
-// body, so m is only valid while body is (under Reader.StableBodies,
-// until the reader is garbage).
+// into m, reusing its storage, so per-reader decode loops allocate
+// nothing. m.Data aliases body, so m is only valid while body is
+// (under Reader.StableBodies, until the reader is garbage).
 //
 //bgp:hotpath
 func DecodeBGP4MPMessageTo(m *BGP4MPMessage, body []byte, subtype uint16) error {
@@ -125,16 +114,6 @@ func DecodeBGP4MPMessageTo(m *BGP4MPMessage, body []byte, subtype uint16) error 
 		PeerIP: peerIP, LocalIP: localIP, AS4: as4, Data: body[n:],
 	}
 	return nil
-}
-
-// DecodeBGP4MPMessage decodes a MESSAGE or MESSAGE_AS4 record body
-// into fresh storage the caller owns.
-func DecodeBGP4MPMessage(body []byte, subtype uint16) (*BGP4MPMessage, error) {
-	m := &BGP4MPMessage{}
-	if err := DecodeBGP4MPMessageTo(m, body, subtype); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeBGP4MPStateChangeTo decodes a STATE_CHANGE or STATE_CHANGE_AS4
@@ -157,16 +136,6 @@ func DecodeBGP4MPStateChangeTo(sc *BGP4MPStateChange, body []byte, subtype uint1
 		NewState: bgp.FSMState(binary.BigEndian.Uint16(body[n+2:])),
 	}
 	return nil
-}
-
-// DecodeBGP4MPStateChange decodes a STATE_CHANGE or STATE_CHANGE_AS4
-// record body into fresh storage the caller owns.
-func DecodeBGP4MPStateChange(body []byte, subtype uint16) (*BGP4MPStateChange, error) {
-	sc := &BGP4MPStateChange{}
-	if err := DecodeBGP4MPStateChangeTo(sc, body, subtype); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }
 
 func appendBGP4MPPreamble(dst []byte, peerAS, localAS uint32, ifIndex uint16, peerIP, localIP netip.Addr, as4 bool) []byte {

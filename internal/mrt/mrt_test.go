@@ -55,8 +55,8 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 	if rec.Header.Subtype != SubtypeMessage {
 		t.Errorf("subtype %d, want MESSAGE for 2-byte ASNs", rec.Header.Subtype)
 	}
-	msg, err := DecodeBGP4MPMessage(rec.Body, rec.Header.Subtype)
-	if err != nil {
+	var msg BGP4MPMessage
+	if err := DecodeBGP4MPMessageTo(&msg, rec.Body, rec.Header.Subtype); err != nil {
 		t.Fatal(err)
 	}
 	if msg.PeerAS != 64512 || msg.LocalAS != 65000 {
@@ -65,7 +65,7 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 	if msg.PeerIP != netip.MustParseAddr("192.0.2.1") {
 		t.Errorf("peer IP %s", msg.PeerIP)
 	}
-	got, err := msg.Update()
+	got, err := msg.UpdateInto(new(bgp.Decoder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestBGP4MPMessageAS4Selected(t *testing.T) {
 	if rec.Header.Subtype != SubtypeMessageAS4 {
 		t.Fatalf("subtype %d, want MESSAGE_AS4", rec.Header.Subtype)
 	}
-	msg, err := DecodeBGP4MPMessage(rec.Body, rec.Header.Subtype)
-	if err != nil {
+	var msg BGP4MPMessage
+	if err := DecodeBGP4MPMessageTo(&msg, rec.Body, rec.Header.Subtype); err != nil {
 		t.Fatal(err)
 	}
 	if msg.PeerAS != 196608 {
 		t.Errorf("peer AS %d", msg.PeerAS)
 	}
-	got, err := msg.Update()
+	got, err := msg.UpdateInto(new(bgp.Decoder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestBGP4MPMessageAS4Selected(t *testing.T) {
 func TestBGP4MPMessageIPv6Peering(t *testing.T) {
 	u := testUpdate()
 	rec := NewUpdateRecord(1, 64512, 65000, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2"), u)
-	msg, err := DecodeBGP4MPMessage(rec.Body, rec.Header.Subtype)
-	if err != nil {
+	var msg BGP4MPMessage
+	if err := DecodeBGP4MPMessageTo(&msg, rec.Body, rec.Header.Subtype); err != nil {
 		t.Fatal(err)
 	}
 	if msg.AFI != bgp.AFIIPv6 || msg.PeerIP != netip.MustParseAddr("2001:db8::1") {
@@ -115,8 +115,8 @@ func TestBGP4MPMessageIPv6Peering(t *testing.T) {
 
 func TestStateChangeRoundTrip(t *testing.T) {
 	rec := NewStateChangeRecord(99, 64512, 65000, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.254"), bgp.StateEstablished, bgp.StateIdle)
-	sc, err := DecodeBGP4MPStateChange(rec.Body, rec.Header.Subtype)
-	if err != nil {
+	var sc BGP4MPStateChange
+	if err := DecodeBGP4MPStateChangeTo(&sc, rec.Body, rec.Header.Subtype); err != nil {
 		t.Fatal(err)
 	}
 	if sc.OldState != bgp.StateEstablished || sc.NewState != bgp.StateIdle {
@@ -159,14 +159,14 @@ func TestRIBRoundTrip(t *testing.T) {
 	if rec.Header.Subtype != SubtypeRIBIPv4Unicast {
 		t.Fatalf("subtype %d", rec.Header.Subtype)
 	}
-	got, err := DecodeRIB(rec.Body, bgp.AFIIPv4)
-	if err != nil {
+	var got RIB
+	if err := DecodeRIBTo(&got, rec.Body, bgp.AFIIPv4); err != nil {
 		t.Fatal(err)
 	}
 	if got.Sequence != 7 || got.Prefix != rib.Prefix || len(got.Entries) != 2 {
 		t.Fatalf("rib %+v", got)
 	}
-	pa, err := got.Entries[0].DecodeAttrs()
+	pa, err := got.Entries[0].DecodeAttrsInto(new(bgp.Decoder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestRIBIPv6Subtype(t *testing.T) {
 	if rec.Header.Subtype != SubtypeRIBIPv6Unicast {
 		t.Fatalf("subtype %d", rec.Header.Subtype)
 	}
-	got, err := DecodeRIB(rec.Body, bgp.AFIIPv6)
-	if err != nil || got.Prefix != rib.Prefix {
+	var got RIB
+	if err := DecodeRIBTo(&got, rec.Body, bgp.AFIIPv6); err != nil || got.Prefix != rib.Prefix {
 		t.Errorf("%+v %v", got, err)
 	}
 }
@@ -207,14 +207,14 @@ func TestTableDumpV1RoundTrip(t *testing.T) {
 	if subtype != bgp.AFIIPv4 {
 		t.Fatalf("subtype %d", subtype)
 	}
-	got, err := DecodeTableDump(body, subtype)
-	if err != nil {
+	var got TableDump
+	if err := DecodeTableDumpTo(&got, body, subtype); err != nil {
 		t.Fatal(err)
 	}
 	if got.Prefix != td.Prefix || got.PeerAS != 701 || got.Sequence != 12 {
 		t.Fatalf("%+v", got)
 	}
-	pa, err := got.DecodeAttrs()
+	pa, err := got.DecodeAttrsInto(new(bgp.Decoder))
 	if err != nil || !pa.ASPath.Equal(bgp.SequencePath(701, 174)) {
 		t.Errorf("attrs %v %v", pa.ASPath, err)
 	}
@@ -330,7 +330,7 @@ func TestExtendedTimestampRoundTrip(t *testing.T) {
 		t.Errorf("Time() %v", got.Header.Time())
 	}
 	// Body must parse identically after the ET strip.
-	if _, err := DecodeBGP4MPMessage(got.Body, SubtypeMessage); err != nil {
+	if err := DecodeBGP4MPMessageTo(new(BGP4MPMessage), got.Body, SubtypeMessage); err != nil {
 		t.Errorf("ET body: %v", err)
 	}
 }
@@ -413,7 +413,7 @@ func TestDecodeTruncatedBodies(t *testing.T) {
 	u := testUpdate()
 	rec := NewUpdateRecord(1, 64512, 65000, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.254"), u)
 	for cut := 0; cut < len(rec.Body); cut++ {
-		DecodeBGP4MPMessage(rec.Body[:cut], rec.Header.Subtype)
+		DecodeBGP4MPMessageTo(new(BGP4MPMessage), rec.Body[:cut], rec.Header.Subtype)
 	}
 	pit := EncodePeerIndexTable(&PeerIndexTable{
 		CollectorBGPID: netip.MustParseAddr("1.2.3.4"),
@@ -425,7 +425,7 @@ func TestDecodeTruncatedBodies(t *testing.T) {
 	attrs := bgp.AppendAttributes(nil, &u.Attrs, 4)
 	ribBody := EncodeRIB(&RIB{Prefix: netip.MustParsePrefix("10.0.0.0/8"), Entries: []RIBEntry{{Attrs: attrs}}})
 	for cut := 0; cut < len(ribBody); cut++ {
-		DecodeRIB(ribBody[:cut], bgp.AFIIPv4)
+		DecodeRIBTo(new(RIB), ribBody[:cut], bgp.AFIIPv4)
 	}
 }
 

@@ -27,9 +27,7 @@ type openConfig struct {
 type Option func(*openConfig) error
 
 // WithSource selects a registered source by name with per-source
-// options — the unified replacement for the per-transport
-// constructors. See Sources() for the registry and each source's
-// options:
+// options. See Sources() for the registry and each source's options:
 //
 //	bgpstream.Open(ctx,
 //		bgpstream.WithSource("broker", bgpstream.SourceOptions{"url": "http://localhost:8472"}),
@@ -192,11 +190,9 @@ func WithLive(start time.Time) Option {
 	}
 }
 
-// Open is the unified stream constructor: it binds a source (pull or
-// push, named or instance) to the accumulated filters and returns the
-// running stream. It replaces the NewStream / NewLiveStream /
-// NewBrokerClient / NewRISLiveClient constructor zoo, which remain as
-// deprecated wrappers.
+// Open is the stream constructor: it binds a source (pull or push,
+// named or instance) to the accumulated filters and returns the
+// running stream.
 //
 //	s, err := bgpstream.Open(ctx,
 //		bgpstream.WithSource("directory", bgpstream.SourceOptions{"path": "./archive"}),

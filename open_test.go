@@ -81,8 +81,9 @@ func TestOpenPullEndToEnd(t *testing.T) {
 		t.Fatal("no RIB elems through Open")
 	}
 
-	// The same stream construction through the legacy constructor
-	// yields the same elem count (old and new front ends agree).
+	// The same stream built from a DataInterface instance and a Filters
+	// value yields the same elem count (the named-source and instance
+	// paths agree).
 	filters := bgpstream.Filters{
 		Projects:  []string{"ris"},
 		DumpTypes: []bgpstream.DumpType{bgpstream.DumpRIB},
@@ -90,17 +91,22 @@ func TestOpenPullEndToEnd(t *testing.T) {
 		Start:     start,
 		End:       start.Add(time.Hour),
 	}
-	legacy := bgpstream.NewStream(context.Background(), &bgpstream.Directory{Dir: dir}, filters)
-	defer legacy.Close()
+	inst, err := bgpstream.Open(context.Background(),
+		bgpstream.WithSourceInstance(&bgpstream.Directory{Dir: dir}),
+		bgpstream.WithFilters(filters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
 	m := 0
-	for range legacy.Elems() {
+	for range inst.Elems() {
 		m++
 	}
-	if err := legacy.Err(); err != nil {
+	if err := inst.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if m != n {
-		t.Fatalf("legacy constructor saw %d elems, Open saw %d", m, n)
+		t.Fatalf("instance source saw %d elems, named source saw %d", m, n)
 	}
 }
 
@@ -163,7 +169,12 @@ func TestOpenPushEndToEnd(t *testing.T) {
 	defer hs.Close()
 	go func() {
 		for ctx.Err() == nil {
-			rs := core.NewStream(ctx, &core.Directory{Dir: dir}, core.Filters{})
+			rs, err := bgpstream.Open(ctx,
+				bgpstream.WithSource("directory", bgpstream.SourceOptions{"path": dir}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			rislive.Replay(ctx, rs, feed, rislive.ReplayOptions{})
 			rs.Close()
 		}
@@ -426,7 +437,12 @@ func TestOpenRepairedEndToEnd(t *testing.T) {
 		for feed.Stats().Subscribers == 0 && ctx.Err() == nil {
 			time.Sleep(5 * time.Millisecond)
 		}
-		rs := core.NewStream(ctx, &core.Directory{Dir: dir}, core.Filters{})
+		rs, err := bgpstream.Open(ctx,
+			bgpstream.WithSource("directory", bgpstream.SourceOptions{"path": dir}))
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		defer rs.Close()
 		n := 0
 		for ctx.Err() == nil {
@@ -531,7 +547,12 @@ func TestOpenWithRepairOption(t *testing.T) {
 	defer hs.Close()
 	go func() {
 		for ctx.Err() == nil {
-			rs := core.NewStream(ctx, &core.Directory{Dir: dir}, core.Filters{})
+			rs, err := bgpstream.Open(ctx,
+				bgpstream.WithSource("directory", bgpstream.SourceOptions{"path": dir}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			rislive.Replay(ctx, rs, feed, rislive.ReplayOptions{})
 			rs.Close()
 		}
