@@ -1,6 +1,5 @@
-// Command experiments regenerates the paper's tables and figures
-// (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured records).
+// Command experiments regenerates the paper's tables and figures;
+// -list prints the experiment index.
 //
 // Usage:
 //

@@ -21,8 +21,7 @@ import (
 // default GOMAXPROCS), so the record the merge heap pops next has
 // usually been decoded ahead of the pop. The merge still pulls in
 // strict §3.3.4 order — when a queue runs dry it blocks on that
-// file's worker; merge.ReadySource exposes that state to observers
-// without ever influencing the order.
+// file's worker (counted as a prefetch stall).
 //
 // Ordering stays byte-for-byte identical to the sequential pipeline:
 // each worker preserves its file's record order, and the merge heap's
@@ -98,7 +97,7 @@ func (g *prefetchGroup) launch() {
 	})
 }
 
-// prefetchSource adapts one dump file to merge.ReadySource[*Record]:
+// prefetchSource adapts one dump file to merge.Source[*Record]:
 // a decode worker fills the bounded readahead channel, the merge-side
 // Next drains it batch by batch.
 type prefetchSource struct {
@@ -205,17 +204,6 @@ func (s *prefetchSource) Next() (*Record, error) {
 		metPrefetchReadahead.Add(-int64(len(b.recs)))
 		s.cur, s.i = b, 0
 	}
-}
-
-// Ready implements merge.ReadySource: it reports whether a Next call
-// would return without blocking on the decode worker, starting the
-// group's workers if nothing has pulled yet (so polling Ready before
-// the first Next makes progress instead of reporting false forever).
-// Best-effort: a just-exhausted source reports false until its closed
-// channel is observed by Next.
-func (s *prefetchSource) Ready() bool {
-	s.g.start()
-	return s.i < len(s.cur.recs) || s.cur.err != nil || len(s.ch) > 0
 }
 
 // buildPrefetchSequence stacks the parallel pipeline behind the

@@ -1,12 +1,10 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (the per-experiment index of DESIGN.md). Each
-// experiment builds its workload from the deterministic simulator
-// substrate, runs the same BGPStream pipeline the paper used, and
-// reports rows in the shape of the original table/figure so
-// paper-vs-measured comparisons are direct.
+// paper's evaluation. Each experiment builds its workload from the
+// deterministic simulator substrate, runs the same BGPStream pipeline
+// the paper used, and reports rows in the shape of the original
+// table/figure so paper-vs-measured comparisons are direct.
 //
-// The cmd/experiments tool prints results; the repository-root
-// benchmarks wrap the same entry points.
+// The cmd/experiments tool lists and prints the experiments.
 package experiments
 
 import (

@@ -19,26 +19,6 @@ type Source[T any] interface {
 	Next() (T, error)
 }
 
-// ReadySource is an optional Source refinement for queues fed
-// asynchronously (the prefetch/decode pipeline of internal/core):
-// Ready reports whether a Next call would return without blocking.
-// Mergers use it to report pipeline readiness — whether the next pop
-// is already decoded — without perturbing the merge order, which must
-// stay byte-identical to a synchronous run.
-type ReadySource[T any] interface {
-	Source[T]
-	Ready() bool
-}
-
-// sourceReady reports readiness for any Source: synchronous sources
-// are always ready, asynchronous ones answer for themselves.
-func sourceReady[T any](s Source[T]) bool {
-	if rs, ok := s.(ReadySource[T]); ok {
-		return rs.Ready()
-	}
-	return true
-}
-
 // SliceSource adapts an in-memory slice to a Source.
 type SliceSource[T any] struct {
 	Items []T
@@ -55,12 +35,6 @@ func (s *SliceSource[T]) Next() (T, error) {
 	s.pos++
 	return v, nil
 }
-
-// FuncSource adapts a closure to a Source.
-type FuncSource[T any] func() (T, error)
-
-// Next implements Source.
-func (f FuncSource[T]) Next() (T, error) { return f() }
 
 type heapItem[T any] struct {
 	value T
@@ -130,28 +104,6 @@ func (m *Merger[T]) prime() error {
 	metPartitions.Inc()
 	metHeapSize.Add(int64(len(m.h.items)))
 	return nil
-}
-
-// Ready reports whether the next call to Next would return without
-// blocking on an underlying source: before priming, every source must
-// be ready (prime pulls each once); afterwards only the top-of-heap
-// source is pulled. Synchronous sources are always ready.
-func (m *Merger[T]) Ready() bool {
-	if m.err != nil {
-		return true
-	}
-	if !m.started {
-		for _, src := range m.sources {
-			if !sourceReady(src) {
-				return false
-			}
-		}
-		return true
-	}
-	if m.h.Len() == 0 {
-		return true
-	}
-	return sourceReady(m.sources[m.h.items[0].src])
 }
 
 // Next returns the next item in merged order, or io.EOF when every
@@ -242,9 +194,6 @@ func PartitionOverlapping(intervals []Interval) [][]int {
 	return groups
 }
 
-// ErrExhausted is returned by Sequence.Next after the final group.
-var ErrExhausted = errors.New("merge: sequence exhausted")
-
 // Sequence runs a series of mergers back to back: all items of group
 // i precede all items of group i+1. It implements the "apply
 // multi-way merge to each subset" step of §3.3.4.
@@ -260,24 +209,6 @@ func NewSequence[T any](less func(a, b T) bool, groups ...[]Source[T]) *Sequence
 	return &Sequence[T]{groups: groups, less: less}
 }
 
-// Ready reports whether the next call to Next would return without
-// blocking; see Merger.Ready. Between groups (or before the first) it
-// answers for the group about to be activated.
-func (s *Sequence[T]) Ready() bool {
-	if s.current != nil {
-		return s.current.Ready()
-	}
-	if s.idx >= len(s.groups) {
-		return true
-	}
-	for _, src := range s.groups[s.idx] {
-		if !sourceReady(src) {
-			return false
-		}
-	}
-	return true
-}
-
 // Next returns the next item of the overall sequence, or io.EOF.
 func (s *Sequence[T]) Next() (T, error) {
 	var zero T
@@ -285,14 +216,6 @@ func (s *Sequence[T]) Next() (T, error) {
 		if s.current == nil {
 			if s.idx >= len(s.groups) {
 				return zero, io.EOF
-			}
-			for _, src := range s.groups[s.idx] {
-				if !sourceReady(src) {
-					// The consumer reached this partition before its
-					// decode workers finished priming it.
-					metBoundaryStalls.Inc()
-					break
-				}
 			}
 			s.current = NewMerger(s.less, s.groups[s.idx]...)
 			s.idx++

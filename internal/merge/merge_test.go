@@ -12,6 +12,11 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+// funcSource adapts a closure to a Source.
+type funcSource[T any] func() (T, error)
+
+func (f funcSource[T]) Next() (T, error) { return f() }
+
 func drain[T any](t *testing.T, next func() (T, error)) []T {
 	t.Helper()
 	var out []T
@@ -96,7 +101,7 @@ func TestMergerStableTies(t *testing.T) {
 func TestMergerPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	bad := FuncSource[int](func() (int, error) {
+	bad := funcSource[int](func() (int, error) {
 		calls++
 		if calls == 1 {
 			return 1, nil
@@ -308,69 +313,5 @@ func BenchmarkMerge150Sources(b *testing.B) {
 		if n != total {
 			b.Fatalf("merged %d", n)
 		}
-	}
-}
-
-// chanSource is a test ReadySource: items are delivered through a
-// buffered channel, Ready mirrors the buffer.
-type chanSource struct{ ch chan int }
-
-func (s *chanSource) Next() (int, error) {
-	v, ok := <-s.ch
-	if !ok {
-		return 0, io.EOF
-	}
-	return v, nil
-}
-
-func (s *chanSource) Ready() bool { return len(s.ch) > 0 }
-
-func TestMergerReady(t *testing.T) {
-	a := &chanSource{ch: make(chan int, 4)}
-	b := &chanSource{ch: make(chan int, 4)}
-	m := NewMerger(intLess, a, b)
-	// Unprimed: prime pulls every source, so readiness requires all.
-	a.ch <- 1
-	a.ch <- 3
-	if m.Ready() {
-		t.Error("Ready with an empty source before prime")
-	}
-	b.ch <- 2
-	if !m.Ready() {
-		t.Error("not Ready with every source buffered")
-	}
-	// Next pops 1 (from a) and synchronously refills from a's buffered
-	// 3; the heap top becomes b's 2 with b's buffer now empty.
-	if v, err := m.Next(); err != nil || v != 1 {
-		t.Fatalf("Next = %d, %v", v, err)
-	}
-	if m.Ready() {
-		t.Error("Ready while the top-of-heap source has nothing buffered")
-	}
-	b.ch <- 4
-	if !m.Ready() {
-		t.Error("not Ready with the top-of-heap source buffered")
-	}
-	close(a.ch)
-	close(b.ch)
-	if got := drain(t, m.Next); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("drained %v", got)
-	}
-	if !m.Ready() {
-		t.Error("exhausted merger not Ready")
-	}
-	// Synchronous sources are always ready.
-	sm := NewMerger(intLess, &SliceSource[int]{Items: []int{1, 2}})
-	if !sm.Ready() {
-		t.Error("slice-backed merger not Ready")
-	}
-	// Sequence readiness delegates to the active group.
-	seq := NewSequence(intLess, []Source[int]{&SliceSource[int]{Items: []int{5}}})
-	if !seq.Ready() {
-		t.Error("sequence over synchronous group not Ready")
-	}
-	drain(t, seq.Next)
-	if !seq.Ready() {
-		t.Error("exhausted sequence not Ready")
 	}
 }

@@ -13,7 +13,4 @@ var (
 	metPartitions = obsv.Default.Counter(
 		"bgpstream_merge_partitions_total",
 		"Overlap partitions merged (one per primed merger).")
-	metBoundaryStalls = obsv.Default.Counter(
-		"bgpstream_merge_boundary_stalls_total",
-		"Partition activations where some source was not yet decoded, blocking the consumer at a partition boundary.")
 )

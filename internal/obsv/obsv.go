@@ -4,7 +4,7 @@
 // ops plane (/metrics, /healthz, /sources, optional pprof). Hot-path
 // updates — Counter.Add, Gauge.Add, Histogram.Observe, and updates
 // through pre-interned vec handles — are single atomic operations
-// with zero allocations (verified by BenchmarkObsvHotPath), so every
+// with zero allocations (gated by TestObsvHotPathAllocs), so every
 // pipeline layer can report continuously without perturbing the
 // throughput it measures.
 package obsv

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"time"
 )
@@ -91,8 +92,10 @@ func (p Policy) delay(attempt int, hint time.Duration) time.Duration {
 // Do runs op under the policy: the first error classified permanent
 // is returned as-is, transient errors are retried up to MaxAttempts
 // with jittered exponential backoff (honouring Retry-After hints),
-// and budget exhaustion returns an *ExhaustedError naming what. The
-// op receives ctx, bounded per attempt when AttemptTimeout is set;
+// and budget exhaustion returns an *ExhaustedError naming what. An
+// error marked with Progress restarts the budget: the next attempt
+// counts as the first and follows one base backoff step. The op
+// receives ctx, bounded per attempt when AttemptTimeout is set;
 // cancellation of ctx stops both attempts and sleeps.
 func (p Policy) Do(ctx context.Context, what string, op func(context.Context) error) error {
 	var timer *time.Timer
@@ -123,7 +126,10 @@ func (p Policy) Do(ctx context.Context, what string, op func(context.Context) er
 			metPermanentFailures.Inc()
 			return err
 		}
-		if attempt >= p.attempts() {
+		var pe *progressError
+		if errors.As(err, &pe) {
+			attempt = 0 // the loop's increment makes the next one the first
+		} else if attempt >= p.attempts() {
 			metExhausted.Inc()
 			return &ExhaustedError{Op: what, Attempts: attempt, Cause: err}
 		}
@@ -131,7 +137,7 @@ func (p Policy) Do(ctx context.Context, what string, op func(context.Context) er
 		if p.OnRetry != nil {
 			p.OnRetry(err)
 		}
-		d := p.delay(attempt, RetryAfterOf(err))
+		d := p.delay(max(attempt, 1), RetryAfterOf(err))
 		// Reusable timer: time.After in a loop would leak a timer per
 		// retry for the full backoff duration.
 		if timer == nil {

@@ -104,6 +104,25 @@ func MarkPermanent(err error) error {
 	return &permanentError{err: err}
 }
 
+// progressError marks a failed attempt that did useful work first.
+type progressError struct{ err error }
+
+func (e *progressError) Error() string { return e.err.Error() }
+func (e *progressError) Unwrap() error { return e.err }
+
+// Progress wraps err, the failure of an attempt that did useful work
+// before it failed (a feed connection that delivered messages, then
+// dropped). Policy.Do restarts its attempt budget on it and retries
+// after one base backoff step, so a long-lived operation that keeps
+// making progress never exhausts its budget. Classification is the
+// cause's: a permanent cause still stops Do. Progress(nil) returns nil.
+func Progress(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &progressError{err: err}
+}
+
 // Classify partitions err into transient (retry may help) or
 // permanent (fail fast). The default for unrecognised errors is
 // transient: network failures come in too many shapes to enumerate,

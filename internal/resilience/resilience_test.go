@@ -34,6 +34,8 @@ func TestClassify(t *testing.T) {
 		{"http 429", &HTTPError{Status: 429}, ClassTransient},
 		{"http 500", &HTTPError{Status: 500}, ClassTransient},
 		{"http 503 wrapped", fmt.Errorf("q: %w", &HTTPError{Status: 503}), ClassTransient},
+		{"progress, transient cause", Progress(errors.New("dropped")), ClassTransient},
+		{"progress, permanent cause", Progress(&HTTPError{Status: 400}), ClassPermanent},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
@@ -139,28 +141,65 @@ func TestPolicyExhaustsBudget(t *testing.T) {
 }
 
 func TestPolicyContextCancelStopsRetries(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 100, Backoff: time.Hour} // would sleep forever
-	calls := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- p.Do(ctx, "op", func(context.Context) error {
-			calls++
-			return errors.New("transient")
-		})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("want the attempt error after cancel, got nil")
+	// A Progress error waits one base step, here as long as any other.
+	for _, attemptErr := range []error{errors.New("transient"), Progress(errors.New("dropped"))} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := Policy{MaxAttempts: 100, Backoff: time.Hour} // would sleep forever
+		calls := 0
+		done := make(chan error, 1)
+		go func() {
+			done <- p.Do(ctx, "op", func(context.Context) error {
+				calls++
+				return attemptErr
+			})
+		}()
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("want the attempt error after cancel, got nil")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Do did not return after context cancel (%v)", attemptErr)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after context cancel")
+		if calls != 1 {
+			t.Fatalf("calls=%d, want 1", calls)
+		}
 	}
-	if calls != 1 {
-		t.Fatalf("calls=%d, want 1", calls)
+}
+
+// TestPolicyProgressRestartsBudget fails an operation up the backoff
+// ladder, then reports progress on its last budgeted attempt: Do must
+// retry after one base step instead of the next rung, and count the
+// budget again from the first attempt.
+func TestPolicyProgressRestartsBudget(t *testing.T) {
+	const base = 5 * time.Millisecond
+	p := Policy{MaxAttempts: 6, Backoff: base, MaxBackoff: time.Second, randFloat: func() float64 { return 0.5 }}
+	calls := 0
+	var progressAt, resumedAt time.Time
+	err := p.Do(context.Background(), "op", func(context.Context) error {
+		calls++
+		switch {
+		case calls == 6:
+			progressAt = time.Now()
+			return Progress(errors.New("delivered, then dropped"))
+		case calls == 7:
+			resumedAt = time.Now()
+		}
+		return errors.New("down")
+	})
+	var ee *ExhaustedError
+	if !errors.As(err, &ee) {
+		t.Fatalf("err = %v, want an ExhaustedError", err)
+	}
+	if calls != 12 || ee.Attempts != 6 {
+		t.Fatalf("calls = %d, exhausted after %d attempts; want 6 + 6 (the budget restarts at 1)", calls, ee.Attempts)
+	}
+	// The wait after Progress is delay(1) = base exactly (randFloat 0.5
+	// makes the jitter factor 1); the ladder would have waited 32 base.
+	if gap := resumedAt.Sub(progressAt); gap < base || gap >= 16*base {
+		t.Fatalf("wait after Progress = %v, want one base step (%v)", gap, base)
 	}
 }
 

@@ -5,9 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -17,16 +18,18 @@ import (
 	"time"
 
 	"github.com/bgpstream-go/bgpstream/internal/core"
+	"github.com/bgpstream-go/bgpstream/internal/resilience"
 )
 
 // Client consumes a RIS Live-style SSE feed and implements
 // core.ElemSource, so core.NewLiveStream(ctx, client, filters) turns
 // any push feed into a regular *core.Stream.
 //
-// The client owns the connection lifecycle: it reconnects with capped
-// exponential backoff (plus jitter) on any transport error, bounds
-// the silence between messages with ReadTimeout, and — delay-err
-// style — treats messages older than Staleness as a broken upstream,
+// The client owns the connection lifecycle: its reconnects run under
+// one resilience.Policy (capped, jittered exponential backoff; a
+// rejected handshake classified like any HTTP error), it bounds the
+// silence between messages with ReadTimeout, and — delay-err style —
+// it treats messages older than Staleness as a broken upstream,
 // forcing a reconnect. Fields must be set before the first NextElem
 // call.
 type Client struct {
@@ -57,18 +60,20 @@ type Client struct {
 	Staleness time.Duration
 	// Backoff is the initial reconnect delay (default 500ms), doubled
 	// per consecutive failure up to BackoffMax (default 30s), with
-	// ±25% jitter.
+	// ±25% jitter. A connection that delivered messages is followed by
+	// one Backoff step.
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// RetryMax bounds consecutive failed connection attempts; 0 means
+	// RetryMax bounds consecutive failed connection attempts (a
+	// connection that delivered messages restarts the count); 0 means
 	// retry forever.
 	RetryMax int
 	// Logf, when set, receives connection lifecycle logs.
 	Logf func(format string, args ...any)
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
+	ctx       context.Context // cancelled by Close
+	cancel    context.CancelFunc
 	pairs     chan pair
 
 	mu       sync.Mutex
@@ -87,7 +92,7 @@ type Client struct {
 	gaps  []core.Gap
 
 	// Gap-tracking state, touched only by the connection-management
-	// goroutine (run → streamOnce → dispatch). lastTs is the timestamp
+	// goroutine (run → streamConn → dispatch). lastTs is the timestamp
 	// of the last delivered elem; stableTs is the delivered-complete
 	// watermark — the latest feed time T such that every subscribed
 	// elem with timestamp <= T is known delivered (advanced on pings
@@ -251,117 +256,69 @@ func (c *Client) NextElem(ctx context.Context) (*core.Record, *core.Elem, error)
 // to call multiple times.
 func (c *Client) Close() error {
 	c.startOnce.Do(c.start) // ensure run() exists so pairs gets closed
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.cancel()
 	return nil
 }
 
 func (c *Client) start() {
-	c.stop = make(chan struct{})
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.pairs = make(chan pair, 256)
 	go c.run()
 }
 
-func (c *Client) stopped() bool {
-	select {
-	case <-c.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// run is the connection-management loop: connect, stream, and on any
-// error back off and reconnect until Close or RetryMax.
+// run is the connection-management loop: one resilience.Policy.Do
+// whose attempts are connections (streamConn), until Close, a
+// permanent error, or RetryMax consecutive unproductive connections.
+// It records the terminal error NextElem reports.
 func (c *Client) run() {
 	defer close(c.pairs)
-	failures := 0 // consecutive attempts without a delivered message
-	step := 0     // backoff ladder position
-	// One timer reused across reconnect backoffs: time.After here
-	// would strand a timer allocation per attempt whenever Close cuts
-	// the wait short (goleak enforces this).
-	var backoffTimer *time.Timer
-	defer func() {
-		if backoffTimer != nil {
-			backoffTimer.Stop()
-		}
-	}()
-	for {
-		if c.stopped() {
-			return
-		}
-		if step > 0 {
-			if backoffTimer == nil {
-				backoffTimer = time.NewTimer(c.backoff(step))
-			} else {
-				backoffTimer.Reset(c.backoff(step))
-			}
-			select {
-			case <-backoffTimer.C:
-			case <-c.stop:
-				return
-			}
-		}
-		delivered, err := c.streamConn()
-		if c.stopped() {
-			return
-		}
-		c.logf("rislive: stream ended after %d messages: %v", delivered, err)
-		// Anything published while we reconnect is lost; open a loss
-		// window at the delivered watermark (closed by the first elem
-		// of the next connection).
-		c.openGap("reconnect")
-		if delivered > 0 {
-			// Productive connection: restart the ladder, but still
-			// back off one base step before reconnecting.
-			failures, step = 0, 1
-			continue
-		}
-		failures++
-		step = failures
-		if c.RetryMax > 0 && failures >= c.RetryMax {
-			c.fail(fmt.Errorf("rislive: giving up after %d failed connection attempts", failures))
-			return
-		}
+	pol := resilience.Policy{
+		MaxAttempts: c.RetryMax,
+		Backoff:     orDefault(c.Backoff, 500*time.Millisecond),
+		MaxBackoff:  orDefault(c.BackoffMax, 30*time.Second),
 	}
-}
-
-func (c *Client) fail(err error) {
+	if pol.MaxAttempts <= 0 {
+		pol.MaxAttempts = math.MaxInt
+	}
+	err := pol.Do(c.ctx, "rislive: connect", c.streamConn)
+	if c.ctx.Err() != nil {
+		return // closed: NextElem reports io.EOF
+	}
+	var ee *resilience.ExhaustedError
+	if errors.As(err, &ee) {
+		err = fmt.Errorf("rislive: giving up after %d failed connection attempts: %w", ee.Attempts, err)
+	}
 	c.mu.Lock()
 	c.terminal = err
 	c.mu.Unlock()
 }
 
-// backoff returns the capped exponential delay for the n-th
-// consecutive failure (n ≥ 1), with ±25% jitter to avoid thundering
-// herds against a restarting server.
-func (c *Client) backoff(n int) time.Duration {
-	base := c.Backoff
-	if base <= 0 {
-		base = 500 * time.Millisecond
+// orDefault returns d, or def when d is not positive: the zero value of
+// every duration field selects its documented default.
+func orDefault(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
-	max := c.BackoffMax
-	if max <= 0 {
-		max = 30 * time.Second
+	return def
+}
+
+// connected records an established connection (transport names a
+// non-SSE one for the log) and returns the read timeout that bounds
+// its silences.
+func (c *Client) connected(transport string) time.Duration {
+	if n := c.connects.Add(1); n > 1 {
+		metClientReconnects.Inc()
 	}
-	d := base
-	for i := 1; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	return d + jitter
+	c.connDropped = 0 // the server's drop counter is per-subscription
+	c.logf("rislive: connected to %s%s", c.URL, transport)
+	return orDefault(c.ReadTimeout, 30*time.Second)
 }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	timeout := c.ConnectTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
+	timeout := orDefault(c.ConnectTimeout, 10*time.Second)
 	return &http.Client{
 		Transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: timeout}).DialContext,
@@ -371,30 +328,23 @@ func (c *Client) httpClient() *http.Client {
 	}
 }
 
-// streamOnce establishes one connection and consumes it until error,
-// returning how many data messages it delivered.
-func (c *Client) streamOnce() (int, error) {
-	endpoint, err := c.buildURL()
-	if err != nil {
-		c.fail(err)
-		c.Close()
-		return 0, err
-	}
+// errReadTimeout ends a connection that stayed silent for ReadTimeout.
+var errReadTimeout = errors.New("rislive: read timeout")
+
+// streamOnce establishes one SSE connection and consumes it until
+// error, returning how many data messages it delivered. Cancelling ctx
+// (Close) cancels the request.
+func (c *Client) streamOnce(ctx context.Context, u *url.URL) (int, error) {
+	done := ctx.Done()
+	endpoint := u.String()
 	// An SSE stream forced onto a ws(s) URL uses the equivalent http
 	// scheme; the endpoint and protocol are the same, only the default
 	// framing differs.
 	if strings.HasPrefix(endpoint, "ws") {
 		endpoint = "http" + strings.TrimPrefix(endpoint, "ws")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-c.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint, nil)
 	if err != nil {
@@ -407,23 +357,15 @@ func (c *Client) streamOnce() (int, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("rislive: HTTP %s", resp.Status)
+		return 0, fmt.Errorf("rislive: HTTP %s: %w", resp.Status, rejected(resp, endpoint))
 	}
-	if n := c.connects.Add(1); n > 1 {
-		metClientReconnects.Inc()
-	}
-	c.connDropped = 0 // the server's drop counter is per-subscription
-	c.logf("rislive: connected to %s", c.URL)
-
-	readTimeout := c.ReadTimeout
-	if readTimeout <= 0 {
-		readTimeout = 30 * time.Second
-	}
+	readTimeout := c.connected("")
 	// The read timer cancels the request context, unblocking the
 	// scanner; it is paused while a message is being delivered so
-	// consumer backpressure is not mistaken for upstream silence.
-	rt := time.AfterFunc(readTimeout, cancel)
+	// consumer backpressure is not mistaken for upstream silence. The
+	// body read then fails with the cause, errReadTimeout: a transient
+	// fault, where a bare context.Canceled would classify permanent.
+	rt := time.AfterFunc(readTimeout, func() { cancel(errReadTimeout) })
 	defer rt.Stop()
 
 	scanner := bufio.NewScanner(resp.Body)
@@ -440,7 +382,7 @@ func (c *Client) streamOnce() (int, error) {
 			rt.Stop()
 			msg := data
 			data = nil
-			n, err := c.dispatch(msg)
+			n, err := c.dispatch(msg, done)
 			delivered += n
 			if err != nil {
 				return delivered, err
@@ -463,9 +405,23 @@ func (c *Client) streamOnce() (int, error) {
 	return delivered, io.EOF
 }
 
-// dispatch handles one complete SSE event, returning how many data
+// rejected drains a handshake response with an unexpected status and
+// reports it as a resilience.HTTPError, so the reconnect policy gives
+// up on a 4xx and floors its backoff at a Retry-After hint.
+func rejected(resp *http.Response, endpoint string) error {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	return &resilience.HTTPError{
+		URL:        endpoint,
+		Status:     resp.StatusCode,
+		RetryAfter: resilience.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
+	}
+}
+
+// dispatch handles one complete feed message, returning how many data
 // messages it delivered and any error that must break the connection.
-func (c *Client) dispatch(payload []byte) (int, error) {
+// done is the client's Done channel, which aborts a blocked delivery.
+func (c *Client) dispatch(payload []byte, done <-chan struct{}) (int, error) {
 	var msg Message
 	if err := json.Unmarshal(payload, &msg); err != nil {
 		c.logf("rislive: bad message %q: %v", payload, err)
@@ -530,13 +486,16 @@ func (c *Client) dispatch(payload []byte) (int, error) {
 		c.closeGap(elem.Timestamp)
 	}
 	c.lastTs = elem.Timestamp
+	// Counted before the send, so a consumer that has received the elem
+	// never reads a Stats that misses it.
+	c.messages.Add(1)
 	select {
 	case c.pairs <- pair{rec: rec, elem: elem}:
-		c.messages.Add(1)
 		metClientMessages.Inc()
 		c.advanceFeedTime(elem.Timestamp)
 		return 1, nil
-	case <-c.stop:
+	case <-done:
+		c.messages.Add(^uint64(0)) // never delivered
 		return 0, io.EOF
 	}
 }
@@ -574,16 +533,29 @@ func (c *Client) FeedTime() time.Time {
 	return time.UnixMicro(us).UTC()
 }
 
-// buildURL merges the subscription parameters into the endpoint query.
-func (c *Client) buildURL() (string, error) {
-	u, err := url.Parse(c.URL)
+// endpoint resolves the configuration into the feed URL, with the
+// subscription parameters merged into its query, and the transport:
+// ws reports whether to connect over WebSocket. Its errors are
+// configuration errors, which no amount of reconnecting fixes.
+func (c *Client) endpoint() (u *url.URL, ws bool, err error) {
+	switch c.Transport {
+	case TransportWS:
+		ws = true
+	case TransportSSE, TransportAuto:
+	default:
+		return nil, false, fmt.Errorf("rislive: unknown transport %q (want %q, %q, or empty for auto)", c.Transport, TransportSSE, TransportWS)
+	}
+	u, err = url.Parse(c.URL)
 	if err != nil {
-		return "", fmt.Errorf("rislive: bad URL %q: %w", c.URL, err)
+		return nil, false, fmt.Errorf("rislive: bad URL %q: %w", c.URL, err)
 	}
 	switch u.Scheme {
 	case "http", "https", "ws", "wss":
 	default:
-		return "", fmt.Errorf("rislive: bad URL %q: need http(s) or ws(s)", c.URL)
+		return nil, false, fmt.Errorf("rislive: bad URL %q: need http(s) or ws(s)", c.URL)
+	}
+	if c.Transport == TransportAuto {
+		ws = u.Scheme == "ws" || u.Scheme == "wss"
 	}
 	q := u.Query()
 	for k, vs := range c.Sub.Values() {
@@ -592,7 +564,7 @@ func (c *Client) buildURL() (string, error) {
 		}
 	}
 	u.RawQuery = q.Encode()
-	return u.String(), nil
+	return u, ws, nil
 }
 
 func (c *Client) logf(format string, args ...any) {

@@ -2,6 +2,7 @@ package rislive
 
 import (
 	"bufio"
+	"context"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"github.com/bgpstream-go/bgpstream/internal/resilience"
 )
 
 // Transport values for Client.Transport.
@@ -21,59 +24,45 @@ const (
 	TransportWS   = "ws"
 )
 
-// useWS resolves the configured transport to a concrete choice. An
-// unknown Transport value is a configuration error (terminal — no
-// amount of reconnecting fixes it).
-func (c *Client) useWS() (bool, error) {
-	switch c.Transport {
-	case TransportWS:
-		return true, nil
-	case TransportSSE:
-		return false, nil
-	case TransportAuto:
-	default:
-		return false, fmt.Errorf("rislive: unknown transport %q (want %q, %q, or empty for auto)", c.Transport, TransportSSE, TransportWS)
-	}
-	u, err := url.Parse(c.URL)
+// streamConn is one attempt of the client's reconnect policy: it
+// establishes one connection over the resolved transport and consumes
+// it until error. Everything above the framing — the JSON envelope,
+// gap tracking, staleness, reconnect policy — is transport-agnostic
+// and shared through dispatch. A connection that delivered messages
+// ends in resilience.Progress, which restarts the retry budget; a
+// configuration error is permanent.
+func (c *Client) streamConn(ctx context.Context) error {
+	u, ws, err := c.endpoint()
 	if err != nil {
-		return false, nil // the URL error surfaces in buildURL
+		return resilience.MarkPermanent(err)
 	}
-	return u.Scheme == "ws" || u.Scheme == "wss", nil
-}
-
-// streamConn establishes one connection over the resolved transport
-// and consumes it until error. Everything above the framing — the
-// JSON envelope, gap tracking, staleness, reconnect policy — is
-// transport-agnostic and shared through dispatch.
-func (c *Client) streamConn() (int, error) {
-	ws, err := c.useWS()
-	if err != nil {
-		c.fail(err)
-		c.Close()
-		return 0, err
-	}
+	var delivered int
 	if ws {
-		return c.streamOnceWS()
+		delivered, err = c.streamOnceWS(ctx, u)
+	} else {
+		delivered, err = c.streamOnce(ctx, u)
 	}
-	return c.streamOnce()
+	if ctx.Err() != nil {
+		return err // closed
+	}
+	c.logf("rislive: stream ended after %d messages: %v", delivered, err)
+	// Anything published while we reconnect is lost; open a loss
+	// window at the delivered watermark (closed by the first elem of
+	// the next connection).
+	c.openGap("reconnect")
+	if delivered > 0 {
+		return resilience.Progress(err)
+	}
+	return err
 }
 
 // streamOnceWS dials the endpoint, performs the RFC 6455 client
 // handshake, and consumes text frames until error, returning how many
 // data messages it delivered. Each text frame carries one Message —
 // the same JSON the SSE path carries per event — so dispatch is
-// shared verbatim.
-func (c *Client) streamOnceWS() (delivered int, err error) {
-	endpoint, err := c.buildURL()
-	if err != nil {
-		c.fail(err)
-		c.Close()
-		return 0, err
-	}
-	u, err := url.Parse(endpoint)
-	if err != nil {
-		return 0, err
-	}
+// shared verbatim. Cancelling ctx (Close) closes the connection.
+func (c *Client) streamOnceWS(ctx context.Context, u *url.URL) (delivered int, err error) {
+	done := ctx.Done()
 	secure := u.Scheme == "wss" || u.Scheme == "https"
 	hostport := u.Host
 	if u.Port() == "" {
@@ -83,17 +72,17 @@ func (c *Client) streamOnceWS() (delivered int, err error) {
 			hostport = net.JoinHostPort(u.Hostname(), "80")
 		}
 	}
-	timeout := c.ConnectTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
+	timeout := orDefault(c.ConnectTimeout, 10*time.Second)
 	d := net.Dialer{Timeout: timeout}
-	rawConn, err := d.Dial("tcp", hostport)
+	rawConn, err := d.DialContext(ctx, "tcp", hostport)
 	if err != nil {
 		return 0, err
 	}
 	conn := rawConn
 	defer func() { conn.Close() }()
+	// Closing the client closes the connection, unblocking whatever
+	// read or write is in progress.
+	defer context.AfterFunc(ctx, func() { rawConn.Close() })()
 	if secure {
 		tc := tls.Client(rawConn, &tls.Config{ServerName: u.Hostname()})
 		tc.SetDeadline(time.Now().Add(timeout))
@@ -103,19 +92,6 @@ func (c *Client) streamOnceWS() (delivered int, err error) {
 		tc.SetDeadline(time.Time{})
 		conn = tc
 	}
-	// Close the connection when the client stops, unblocking the
-	// frame read below; the deferred close on return retires the
-	// watcher through watchDone.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-c.stop:
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-
 	key, err := wsChallengeKey()
 	if err != nil {
 		return 0, err
@@ -130,25 +106,14 @@ func (c *Client) streamOnceWS() (delivered int, err error) {
 		return 0, err
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		return 0, fmt.Errorf("rislive: HTTP %s (want 101 Switching Protocols)", resp.Status)
+		return 0, fmt.Errorf("rislive: HTTP %s (want 101 Switching Protocols): %w", resp.Status, rejected(resp, u.String()))
 	}
 	if got, want := resp.Header.Get("Sec-WebSocket-Accept"), wsAcceptKey(key); got != want {
 		return 0, fmt.Errorf("rislive: handshake Sec-WebSocket-Accept %q, want %q", got, want)
 	}
 	conn.SetDeadline(time.Time{})
 
-	if n := c.connects.Add(1); n > 1 {
-		metClientReconnects.Inc()
-	}
-	c.connDropped = 0 // the server's drop counter is per-subscription
-	c.logf("rislive: connected to %s (websocket)", c.URL)
-
-	readTimeout := c.ReadTimeout
-	if readTimeout <= 0 {
-		readTimeout = 30 * time.Second
-	}
+	readTimeout := c.connected(" (websocket)")
 	rd := wsReader{r: br}
 	for {
 		// The deadline bounds silence between frames, the WS analogue
@@ -178,7 +143,7 @@ func (c *Client) streamOnceWS() (delivered int, err error) {
 		case wsOpPong:
 			// Unsolicited pong: permitted by the RFC, nothing to do.
 		case wsOpText, wsOpBinary:
-			n, derr := c.dispatch(payload)
+			n, derr := c.dispatch(payload, done)
 			delivered += n
 			if derr != nil {
 				return delivered, derr
