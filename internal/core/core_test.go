@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
@@ -534,49 +537,86 @@ func TestStreamRIBAndUpdatesInterleave(t *testing.T) {
 	}
 }
 
+// TestStreamCorruptedDumpFile pins §3.3.3's status for a dump that is
+// readable up to a fault: a dump truncated mid-record yields its valid
+// prefix in file order, then exactly one StatusCorruptedRecord (a
+// corrupted record, not an unreachable dump), then nothing more from
+// that file, on the sequential and the parallel pipeline alike.
 func TestStreamCorruptedDumpFile(t *testing.T) {
+	const valid = 200 // more than two prefetch batches
 	root := buildArchive(t)
-	// Truncate one dump mid-file.
-	var victim string
 	st := &archive.Store{Root: root}
 	metas, err := st.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var victim archive.DumpMeta
 	for _, m := range metas {
 		if m.Type == DumpUpdates && m.Project == "ris" {
-			victim = m.URL
+			victim = m
 			break
 		}
 	}
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
+	// Rewrite the victim as valid records plus one cut in half, and
+	// gzip the truncated MRT stream whole so the fault is in the MRT
+	// framing, not in the compression.
+	bu := uint32(victim.Time.Unix())
+	updates := make([]*bgp.Update, valid+1)
+	for i := range updates {
+		updates[i] = announce(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24).String(), 64501, 701)
 	}
-	if err := os.WriteFile(victim, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStream(context.Background(), &Directory{Dir: root}, Filters{Projects: []string{"ris"}, DumpTypes: []DumpType{DumpUpdates}})
-	defer s.Close()
-	var statuses []RecordStatus
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	var raw bytes.Buffer
+	w := mrt.NewWriter(&raw)
+	var last int // offset of the last record
+	for _, rec := range updatesDump(bu, 64501, peer1, updates...) {
+		last = raw.Len()
+		if err := w.WriteRecord(rec); err != nil {
 			t.Fatal(err)
 		}
-		statuses = append(statuses, rec.Status)
 	}
-	sawCorrupt := false
-	for _, st := range statuses {
-		if st == StatusCorruptedRecord || st == StatusCorruptedDump {
-			sawCorrupt = true
-		}
+	cut := last + (raw.Len()-last)/2
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(raw.Bytes()[:cut]); err != nil {
+		t.Fatal(err)
 	}
-	if !sawCorrupt {
-		t.Fatalf("no corruption surfaced: %v", statuses)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim.URL, gz.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := NewStream(context.Background(), &Directory{Dir: root}, Filters{Projects: []string{"ris"}, DumpTypes: []DumpType{DumpUpdates}})
+			s.SetDecodeWorkers(workers)
+			defer s.Close()
+			var got []*Record
+			for {
+				rec, err := s.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Collector == victim.Collector && rec.DumpTime.Equal(victim.Time) {
+					got = append(got, rec)
+				}
+			}
+			if len(got) != valid+1 {
+				t.Fatalf("truncated dump yielded %d records, want %d valid + 1 corrupted", len(got), valid)
+			}
+			for i, rec := range got[:valid] {
+				if rec.Status != StatusValid || rec.Time().Unix() != int64(bu)+int64(i) {
+					t.Fatalf("record %d: status %s at %d, want valid at %d", i, rec.Status, rec.Time().Unix(), int64(bu)+int64(i))
+				}
+			}
+			if last := got[valid]; last.Status != StatusCorruptedRecord {
+				t.Fatalf("record after the valid prefix: status %s, want %s", last.Status, StatusCorruptedRecord)
+			}
+		})
 	}
 }
 

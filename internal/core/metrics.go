@@ -24,7 +24,7 @@ var (
 		"Decode workers currently holding a semaphore slot (parallel pipeline occupancy).")
 	metPrefetchReadahead = obsv.Default.Gauge(
 		"bgpstream_prefetch_readahead_records",
-		"Records decoded ahead of the merge across all readahead queues. Approximate at batch granularity; abandoned pipelines may leave residue.")
+		"Records decoded ahead of the merge across all readahead queues. Approximate at batch granularity.")
 	metPrefetchStalls = obsv.Default.Counter(
 		"bgpstream_prefetch_stalls_total",
 		"Merge-side pops that blocked because a decode worker had not caught up.")

@@ -41,8 +41,13 @@ const (
 	// ~1/64 of a send per record.
 	prefetchBatchSize = 64
 	// defaultReadahead is the per-source readahead bound in records
-	// when the stream does not configure one (Stream.SetReadahead).
-	defaultReadahead = 4096
+	// when the stream does not configure one (Stream.SetReadahead):
+	// one batch, a queue depth of 1. Each open dump file then holds at
+	// most two decoded batches ahead of the merge, one queued and one
+	// in its worker's hand. A deeper default read no faster on the
+	// bench corpus, and with 100+ files in one overlap partition it held
+	// most of the window decoded in memory.
+	defaultReadahead = prefetchBatchSize
 )
 
 // prefetchBatch is one readahead-queue entry: a run of consecutive
@@ -126,7 +131,15 @@ func newPrefetchSource(inner *dumpSource, g *prefetchGroup, readahead int) *pref
 // records batch by batch, holding a semaphore slot only while
 // decoding, never while blocked on the readahead queue.
 func (s *prefetchSource) run() {
-	defer close(s.ch)
+	defer func() {
+		close(s.ch)
+		select {
+		case <-s.g.stop:
+			// Abandoned: the merge will never pop what is queued.
+			s.drain()
+		default:
+		}
+	}()
 	for {
 		// Yield before competing for a slot. A worker that never blocks
 		// (slot free, queue not full) otherwise keeps its processor:
@@ -179,6 +192,27 @@ func (s *prefetchSource) run() {
 	}
 }
 
+// drain empties the readahead queue without blocking, retracting the
+// dropped records from the readahead gauge. It runs only once the
+// pipeline is stopped: by a worker that exits after the stop, and by
+// the pipeline's stop func for workers that had already exited. A
+// pull stream is never closed while a Next is in flight, so the merge
+// is not receiving meanwhile, and each batch is retracted by whichever
+// of the two drains receives it.
+func (s *prefetchSource) drain() {
+	for {
+		select {
+		case b, ok := <-s.ch:
+			if !ok {
+				return
+			}
+			metPrefetchReadahead.Add(-int64(len(b.recs)))
+		default:
+			return
+		}
+	}
+}
+
 // Next implements merge.Source[*Record], popping the next prefetched
 // record and blocking only when the decode worker has not caught up.
 func (s *prefetchSource) Next() (*Record, error) {
@@ -209,11 +243,15 @@ func (s *prefetchSource) Next() (*Record, error) {
 // buildPrefetchSequence stacks the parallel pipeline behind the
 // §3.3.4 partition/merge structure: one prefetch source per dump
 // file, grouped per overlap partition, all bounded by one decode
-// semaphore of the given width. stop abandons every worker (see
-// Stream.Close).
-func buildPrefetchSequence(groups [][]*dumpSource, workers, readahead int, stop chan struct{}) *merge.Sequence[*Record] {
+// semaphore of the given width. The returned stop func (idempotent)
+// abandons every worker (see Stream.Close) and retracts every queued
+// batch from the readahead gauge, including those of workers that
+// already reached EOF and exited.
+func buildPrefetchSequence(groups [][]*dumpSource, workers, readahead int) (*merge.Sequence[*Record], func()) {
 	sem := make(chan struct{}, workers)
+	stop := make(chan struct{})
 	srcGroups := make([][]merge.Source[*Record], 0, len(groups))
+	var all []*prefetchSource
 	var prev *prefetchGroup
 	for _, g := range groups {
 		pg := &prefetchGroup{sem: sem, stop: stop}
@@ -225,7 +263,14 @@ func buildPrefetchSequence(groups [][]*dumpSource, workers, readahead int, stop 
 		for _, ds := range g {
 			sources = append(sources, newPrefetchSource(ds, pg, readahead))
 		}
+		all = append(all, pg.members...)
 		srcGroups = append(srcGroups, sources)
 	}
-	return merge.NewSequence(recordLess, srcGroups...)
+	stopAll := sync.OnceFunc(func() {
+		close(stop)
+		for _, m := range all {
+			m.drain()
+		}
+	})
+	return merge.NewSequence(recordLess, srcGroups...), stopAll
 }

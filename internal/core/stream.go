@@ -123,7 +123,8 @@ func (s *Stream) SetDecodeWorkers(n int) { s.decodeWorkers = n }
 
 // SetReadahead bounds the per-dump-file readahead queue of the
 // parallel ingest pipeline, in records. n <= 0 selects the default
-// (4096). Call before iteration starts.
+// (64, one decode batch: each open dump file then holds at most two
+// batches decoded ahead of the merge). Call before iteration starts.
 func (s *Stream) SetReadahead(n int) { s.readahead = n }
 
 // SetFetchPolicy overrides the retry policy of the stream's dump
@@ -258,9 +259,9 @@ func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record
 	if s.stopPipeline != nil {
 		s.stopPipeline()
 	}
-	stop := make(chan struct{})
-	s.stopPipeline = sync.OnceFunc(func() { close(stop) })
-	return buildPrefetchSequence(dumpGroups, workers, s.readahead, stop)
+	seq, stop := buildPrefetchSequence(dumpGroups, workers, s.readahead)
+	s.stopPipeline = stop
+	return seq
 }
 
 // matchSourceRecord applies the meta-data filters to a pushed record:

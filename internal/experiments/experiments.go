@@ -25,8 +25,7 @@ type Result struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	// Notes carries the paper-vs-measured summary lines recorded in
-	// EXPERIMENTS.md.
+	// Notes carries the paper-vs-measured summary lines.
 	Notes []string
 }
 

@@ -133,10 +133,11 @@ func WithDecodeWorkers(n int) Option {
 }
 
 // WithReadahead bounds the per-dump-file readahead queue of the
-// parallel ingest pipeline, in decoded records (default 4096). Larger
-// values smooth bursty decode against a slow consumer at the cost of
-// memory; the registry equivalent is the "readahead" option of the
-// pull sources.
+// parallel ingest pipeline, in decoded records (default 64, one decode
+// batch: each open dump file holds at most two batches decoded ahead
+// of the merge). Larger values smooth bursty decode against a slow
+// consumer at the cost of memory; the registry equivalent is the
+// "readahead" option of the pull sources.
 func WithReadahead(records int) Option {
 	return func(c *openConfig) error {
 		c.readahead = records

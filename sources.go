@@ -207,7 +207,7 @@ func optDuration(name string, opts SourceOptions, key string, def time.Duration)
 // accepts, mirroring WithDecodeWorkers / WithReadahead.
 var pipelineOptions = []SourceOption{
 	{Name: "decode-workers", Description: "parallel ingest: dump files of an overlap partition decoded concurrently (1 = sequential)", Default: "GOMAXPROCS"},
-	{Name: "readahead", Description: "per-dump-file decoded-record readahead bound", Default: "4096"},
+	{Name: "readahead", Description: "per-dump-file decoded-record readahead bound", Default: "64"},
 }
 
 // pipelineOpts parses the shared parallel-ingest options of a pull
