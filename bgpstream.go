@@ -216,7 +216,10 @@ func ParseFilterString(s string) (Filters, error) {
 	return core.ParseFilterString(s)
 }
 
-// PullSource adapts a DataInterface into a Source.
+// PullSource adapts a DataInterface into a Source. A DataInterface is
+// a single-use cursor, so the result opens one stream; a Source that
+// must reopen builds its DataInterface per OpenStream, as the
+// registry's pull sources do.
 func PullSource(di DataInterface) Source { return core.PullSource(di) }
 
 // PushSource adapts an ElemSource into a Source.

@@ -8,9 +8,7 @@
 package bgpstream_test
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
@@ -58,27 +56,7 @@ func collectHTTPRecords(t *testing.T, metas []archive.DumpMeta, pol resilience.P
 	if disableBreaker {
 		s.SetBreakerThreshold(-1)
 	}
-	defer s.Close()
-	var out []pipelineRecord
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		out = append(out, pipelineRecord{
-			project:   rec.Project,
-			collector: rec.Collector,
-			dumpType:  rec.DumpType,
-			dumpTime:  rec.DumpTime,
-			status:    rec.Status,
-			position:  rec.Position,
-			time:      rec.Time(),
-			body:      append([]byte(nil), rec.MRT.Body...),
-		})
-	}
+	return drainRecords(t, s)
 }
 
 // TestFaultToleranceSequenceIdentity is the tentpole acceptance test:
@@ -136,10 +114,7 @@ func TestFaultToleranceSequenceIdentity(t *testing.T) {
 		}
 		for i := range want {
 			w, g := want[i], got[i]
-			if g.project != w.project || g.collector != w.collector ||
-				g.dumpType != w.dumpType || !g.dumpTime.Equal(w.dumpTime) ||
-				g.status != w.status || g.position != w.position ||
-				!g.time.Equal(w.time) || !bytes.Equal(g.body, w.body) {
+			if !samePipelineRecord(g, w) {
 				t.Fatalf("seed %d: record %d differs:\n got %+v\nwant %+v", seed, i, g, w)
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -29,21 +28,6 @@ type Server struct {
 	// Now lets tests and the live simulator control the clock;
 	// defaults to time.Now.
 	Now func() time.Time
-
-	mu       sync.RWMutex
-	override map[string]time.Time // rel path -> publish time
-}
-
-// SetPublishTime overrides the publication instant of one
-// archive-relative file path, used to model the variable per-file
-// delays of real publication infrastructure.
-func (s *Server) SetPublishTime(rel string, at time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.override == nil {
-		s.override = make(map[string]time.Time)
-	}
-	s.override[path.Clean("/"+rel)] = at
 }
 
 func (s *Server) now() time.Time {
@@ -54,12 +38,6 @@ func (s *Server) now() time.Time {
 }
 
 func (s *Server) published(rel string, info os.FileInfo) bool {
-	s.mu.RLock()
-	at, ok := s.override[path.Clean("/"+rel)]
-	s.mu.RUnlock()
-	if ok {
-		return !s.now().Before(at)
-	}
 	if s.PublishDelay == 0 {
 		return true
 	}

@@ -255,18 +255,6 @@ func TestCommunitiesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCommunitiesUniqueASNs(t *testing.T) {
-	cs := Communities{
-		NewCommunity(3356, 1), NewCommunity(3356, 2),
-		NewCommunity(701, 1), NewCommunity(174, 5),
-	}
-	got := cs.UniqueASNs()
-	want := []uint16{174, 701, 3356}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UniqueASNs() = %v, want %v", got, want)
-	}
-}
-
 func testUpdate(t *testing.T) *Update {
 	t.Helper()
 	origin := uint8(OriginIGP)

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"encoding/binary"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -88,32 +87,6 @@ func (cs Communities) Contains(c Community) bool {
 		}
 	}
 	return false
-}
-
-// ContainsAny reports whether any community in set is present.
-func (cs Communities) ContainsAny(set []Community) bool {
-	for _, c := range set {
-		if cs.Contains(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// UniqueASNs returns the sorted distinct AS identifiers (high halves)
-// appearing in the list, as used by the Figure 5d community-diversity
-// analysis.
-func (cs Communities) UniqueASNs() []uint16 {
-	seen := make(map[uint16]struct{}, len(cs))
-	for _, c := range cs {
-		seen[c.ASN()] = struct{}{}
-	}
-	out := make([]uint16, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Clone returns a copy of the list.

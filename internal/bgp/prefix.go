@@ -60,11 +60,3 @@ func AppendNLRIList(dst []byte, ps []netip.Prefix) []byte {
 	}
 	return dst
 }
-
-// PrefixAFI returns the address family identifier for p.
-func PrefixAFI(p netip.Prefix) uint16 {
-	if p.Addr().Is4() {
-		return AFIIPv4
-	}
-	return AFIIPv6
-}

@@ -293,13 +293,13 @@ func TestElemContentFilters(t *testing.T) {
 }
 
 func TestMatchMeta(t *testing.T) {
-	f := Filters{
+	f := CompileFilters(Filters{
 		Projects:   []string{"ris"},
 		Collectors: []string{"rrc00"},
 		DumpTypes:  []DumpType{DumpUpdates},
 		Start:      time.Unix(1000, 0),
 		End:        time.Unix(2000, 0),
-	}
+	})
 	base := archive.DumpMeta{
 		Project: "ris", Collector: "rrc00", Type: DumpUpdates,
 		Time: time.Unix(1200, 0), Duration: 300 * time.Second,
@@ -783,6 +783,43 @@ func TestDynamicFilterAddition(t *testing.T) {
 	}
 	if e.Prefix.String() != "198.51.101.0/24" {
 		t.Errorf("after widening: %s", e.Prefix)
+	}
+}
+
+// TestFilterAdditionWhileConsuming adds filters from another goroutine
+// while the consumer and the decode workers read the stream's filter
+// snapshot, as the RTBH workflow does across two streams. Under -race
+// it checks the snapshot hand-off; the final count checks that
+// concurrent additions are not lost.
+func TestFilterAdditionWhileConsuming(t *testing.T) {
+	root := buildArchive(t)
+	s := NewStream(context.Background(), &Directory{Dir: root}, Filters{})
+	s.SetDecodeWorkers(2)
+	defer s.Close()
+	const adds = 100
+	done := make(chan struct{})
+	for range 2 {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for range adds / 2 {
+				s.AddPrefixFilter(PrefixFilter{Prefix: netip.MustParsePrefix("0.0.0.0/0")})
+				s.AddCommunityFilter(CommunityFilter{})
+			}
+		}()
+	}
+	for {
+		_, _, err := s.NextElem()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	<-done
+	if f := s.Filters(); len(f.Prefixes) != adds || len(f.Communities) != adds {
+		t.Errorf("after %d concurrent additions: %d prefix, %d community filters", adds, len(f.Prefixes), len(f.Communities))
 	}
 }
 

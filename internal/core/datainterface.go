@@ -33,14 +33,6 @@ type SingleFiles struct {
 	done  bool
 }
 
-// SingleFile builds a one-file interface for a local path or URL.
-func SingleFile(project, collector string, t DumpType, ts time.Time, duration time.Duration, url string) *SingleFiles {
-	return &SingleFiles{Metas: []archive.DumpMeta{{
-		Project: project, Collector: collector, Type: t,
-		Time: ts, Duration: duration, URL: url,
-	}}}
-}
-
 // NextBatch implements DataInterface.
 func (s *SingleFiles) NextBatch(ctx context.Context) ([]archive.DumpMeta, error) {
 	if s.done {

@@ -57,8 +57,11 @@ func openDump(ctx context.Context, fetch *resilience.Fetcher, url string) (io.Re
 // and converts I/O or decode corruption into a single invalid record
 // (the §3.3.3 "not-valid" status) rather than an error.
 type dumpSource struct {
-	meta    archive.DumpMeta
-	filters *Filters
+	meta archive.DumpMeta
+	// window is the stream's filter snapshot at batch build, read only
+	// for the record time window (nil: no time filter). Snapshots are
+	// immutable, so decode workers read it without locking.
+	window *CompiledFilters
 	// ctx bounds the fetch (the stream's context); fetch is the
 	// resilient opener shared across the stream's dump sources, nil
 	// selecting the package default.
@@ -106,11 +109,11 @@ func (s *dumpSource) newRecord() *Record {
 	return r
 }
 
-func newDumpSource(ctx context.Context, fetch *resilience.Fetcher, meta archive.DumpMeta, filters *Filters) *dumpSource {
+func newDumpSource(ctx context.Context, fetch *resilience.Fetcher, meta archive.DumpMeta, window *CompiledFilters) *dumpSource {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &dumpSource{meta: meta, filters: filters, ctx: ctx, fetch: fetch, first: true}
+	return &dumpSource{meta: meta, window: window, ctx: ctx, fetch: fetch, first: true}
 }
 
 // invalidRecord builds the placeholder record for a broken dump.
@@ -205,7 +208,7 @@ func (s *dumpSource) readRecord() (*Record, error) {
 		default:
 			rec.Status = StatusUnsupported
 		}
-		if s.filters != nil && !s.filters.MatchRecordTime(rec.Time()) {
+		if s.window != nil && !s.window.src.MatchRecordTime(rec.Time()) {
 			continue
 		}
 		return rec, nil

@@ -36,18 +36,7 @@ type ElemSource interface {
 // Push feeds never terminate on their own: iteration ends when ctx is
 // cancelled or the source (or stream) is closed.
 func NewLiveStream(ctx context.Context, src ElemSource, filters Filters) *Stream {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := &Stream{
-		filters:  filters,
-		compiled: CompileFilters(filters),
-		ctx:      ctx,
-		elemSrc:  src,
-		openedAt: time.Now().UTC(),
-	}
-	registerStream(s)
-	return s
+	return newStream(ctx, nil, src, filters)
 }
 
 // NewElemRecord synthesises a valid Record carrying pre-decomposed

@@ -60,7 +60,10 @@ func TestStreamErrorFormatting(t *testing.T) {
 }
 
 func TestSingleFileConstructor(t *testing.T) {
-	di := SingleFile("ris", "rrc00", DumpUpdates, time.Unix(100, 0), 5*time.Minute, "/tmp/x.gz")
+	di := &SingleFiles{Metas: []archive.DumpMeta{{
+		Project: "ris", Collector: "rrc00", Type: DumpUpdates,
+		Time: time.Unix(100, 0), Duration: 5 * time.Minute, URL: "/tmp/x.gz",
+	}}}
 	batch, err := di.NextBatch(context.Background())
 	if err != nil || len(batch) != 1 || batch[0].Collector != "rrc00" {
 		t.Fatalf("%v %v", batch, err)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -145,43 +144,6 @@ type Filters struct {
 	IPVersions []int
 }
 
-// MatchMeta reports whether a dump file passes the meta-data filters,
-// including the interval test: a dump is relevant when its covered
-// interval intersects [Start, End]. A zero dump Time means "unknown"
-// (the single-file interface): such dumps always pass the interval
-// test and rely on per-record time filtering instead.
-//
-// This is the one-off convenience form; the stream layer, which
-// matches many dumps against fixed filters, uses CompileFilters once
-// and the compiled form's set-probing MatchMeta.
-func (f *Filters) MatchMeta(m archive.DumpMeta) bool {
-	if len(f.Projects) > 0 && !slices.Contains(f.Projects, m.Project) {
-		return false
-	}
-	if len(f.Collectors) > 0 && !slices.Contains(f.Collectors, m.Collector) {
-		return false
-	}
-	if len(f.DumpTypes) > 0 && !slices.Contains(f.DumpTypes, m.Type) {
-		return false
-	}
-	return f.matchMetaInterval(m)
-}
-
-// matchMetaInterval is the interval half of MatchMeta, shared with the
-// compiled form.
-func (f *Filters) matchMetaInterval(m archive.DumpMeta) bool {
-	if m.Time.IsZero() {
-		return true
-	}
-	if !f.Start.IsZero() && m.Time.Add(m.Duration).Before(f.Start) {
-		return false
-	}
-	if !f.End.IsZero() && !f.Live && m.Time.After(f.End) {
-		return false
-	}
-	return true
-}
-
 // MatchRecordTime reports whether a record timestamp falls inside the
 // configured interval.
 func (f *Filters) MatchRecordTime(ts time.Time) bool {
@@ -320,14 +282,23 @@ func stringSet(xs []string) map[string]bool {
 	return m
 }
 
-// MatchMeta reports whether a dump file passes the meta-data filters;
-// same semantics as Filters.MatchMeta but probing the precomputed
-// sets.
+// MatchMeta reports whether a dump file passes the meta-data filters,
+// including the interval test: a dump is relevant when its covered
+// interval intersects [Start, End]. A zero dump Time means "unknown"
+// (the single-file interface): such dumps always pass the interval
+// test and rely on per-record time filtering instead.
 func (c *CompiledFilters) MatchMeta(m archive.DumpMeta) bool {
 	if !c.matchTags(m.Project, m.Collector, m.Type) {
 		return false
 	}
-	return c.src.matchMetaInterval(m)
+	if m.Time.IsZero() {
+		return true
+	}
+	f := &c.src
+	if !f.Start.IsZero() && m.Time.Add(m.Duration).Before(f.Start) {
+		return false
+	}
+	return f.End.IsZero() || f.Live || !m.Time.After(f.End)
 }
 
 // matchTags applies the project/collector/dump-type sets; push-mode

@@ -74,9 +74,6 @@ func ActiveSourceHealth() []SourceHealth {
 // constructors leave it empty.
 func (s *Stream) SetSourceName(name string) { s.sourceName = name }
 
-// SourceName returns the name set by SetSourceName.
-func (s *Stream) SourceName() string { return s.sourceName }
-
 // Detach removes the stream from the active-health registry without
 // closing it. Compositors that unwrap a stream's elem source and
 // abandon the wrapper (internal/gaprepair) use it so the discarded

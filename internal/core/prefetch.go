@@ -240,37 +240,42 @@ func (s *prefetchSource) Next() (*Record, error) {
 	}
 }
 
-// buildPrefetchSequence stacks the parallel pipeline behind the
-// §3.3.4 partition/merge structure: one prefetch source per dump
-// file, grouped per overlap partition, all bounded by one decode
-// semaphore of the given width. The returned stop func (idempotent)
-// abandons every worker (see Stream.Close) and retracts every queued
-// batch from the readahead gauge, including those of workers that
-// already reached EOF and exited.
-func buildPrefetchSequence(groups [][]*dumpSource, workers, readahead int) (*merge.Sequence[*Record], func()) {
-	sem := make(chan struct{}, workers)
-	stop := make(chan struct{})
-	srcGroups := make([][]merge.Source[*Record], 0, len(groups))
-	var all []*prefetchSource
-	var prev *prefetchGroup
-	for _, g := range groups {
-		pg := &prefetchGroup{sem: sem, stop: stop}
-		if prev != nil {
-			prev.next = pg // cross-partition lookahead chain
-		}
-		prev = pg
-		sources := make([]merge.Source[*Record], 0, len(g))
-		for _, ds := range g {
-			sources = append(sources, newPrefetchSource(ds, pg, readahead))
-		}
-		all = append(all, pg.members...)
-		srcGroups = append(srcGroups, sources)
-	}
-	stopAll := sync.OnceFunc(func() {
-		close(stop)
-		for _, m := range all {
+// prefetchPipeline is the parallel pipeline of one batch: one
+// prefetch source per dump file, grouped per overlap partition, all
+// bounded by one decode semaphore (sem, one slot per worker).
+type prefetchPipeline struct {
+	sem       chan struct{}
+	halt      chan struct{} // every group's stop channel
+	readahead int
+	groups    []*prefetchGroup
+	all       []*prefetchSource
+	once      sync.Once
+}
+
+// stop (idempotent) abandons every worker (see Stream.Close) and
+// retracts every queued batch from the readahead gauge, including
+// those of workers that already reached EOF and exited.
+func (p *prefetchPipeline) stop() {
+	p.once.Do(func() {
+		close(p.halt)
+		for _, m := range p.all {
 			m.drain()
 		}
 	})
-	return merge.NewSequence(recordLess, srcGroups...), stopAll
+}
+
+// source wraps ds, the next dump file of overlap partition part, for
+// the merge. Partitions arrive in order, so a new part index opens the
+// next group of the cross-partition lookahead chain.
+func (p *prefetchPipeline) source(part int, ds *dumpSource) merge.Source[*Record] {
+	if part == len(p.groups) {
+		g := &prefetchGroup{sem: p.sem, stop: p.halt}
+		if part > 0 {
+			p.groups[part-1].next = g
+		}
+		p.groups = append(p.groups, g)
+	}
+	src := newPrefetchSource(ds, p.groups[part], p.readahead)
+	p.all = append(p.all, src)
+	return src
 }

@@ -163,7 +163,7 @@ func TestDumpResumeBudgetExhaustedDegradesToCorruptedDump(t *testing.T) {
 		Policy:     resilience.Policy{MaxAttempts: 1},
 		MaxResumes: 2,
 	}
-	ds := newDumpSource(context.Background(), fetch, meta, &Filters{})
+	ds := newDumpSource(context.Background(), fetch, meta, nil)
 	var statuses []RecordStatus
 	for {
 		rec, err := ds.Next()

@@ -19,25 +19,24 @@ type Source interface {
 	OpenStream(ctx context.Context, f Filters) (*Stream, error)
 }
 
-// pullSource adapts a DataInterface into a Source.
-type pullSource struct{ di DataInterface }
-
-func (s pullSource) OpenStream(ctx context.Context, f Filters) (*Stream, error) {
-	return NewStream(ctx, s.di, f), nil
+// PullSource adapts a DataInterface into a Source. A DataInterface is
+// a single-use cursor: the first stream opened drains it, and any
+// later OpenStream of the same Source reads the spent cursor (most
+// built-in interfaces then yield nothing). A Source that must reopen
+// (a gap-repair backfill, a registry factory) builds its DataInterface
+// inside OpenStream instead.
+func PullSource(di DataInterface) Source {
+	return SourceFunc(func(ctx context.Context, f Filters) (*Stream, error) {
+		return NewStream(ctx, di, f), nil
+	})
 }
-
-// pushSource adapts an ElemSource into a Source.
-type pushSource struct{ es ElemSource }
-
-func (s pushSource) OpenStream(ctx context.Context, f Filters) (*Stream, error) {
-	return NewLiveStream(ctx, s.es, f), nil
-}
-
-// PullSource adapts a DataInterface into a Source.
-func PullSource(di DataInterface) Source { return pullSource{di} }
 
 // PushSource adapts an ElemSource into a Source.
-func PushSource(es ElemSource) Source { return pushSource{es} }
+func PushSource(es ElemSource) Source {
+	return SourceFunc(func(ctx context.Context, f Filters) (*Stream, error) {
+		return NewLiveStream(ctx, es, f), nil
+	})
+}
 
 // SourceFunc adapts a function into a Source; registries use it to
 // defer source construction until filters are known.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"iter"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,16 +26,19 @@ import (
 // disjoint subsets of time-overlapping files and a multi-way merge is
 // applied per subset.
 type Stream struct {
-	di       DataInterface
-	filters  Filters
-	compiled *CompiledFilters
+	di DataInterface
+	// compiled is the current filter snapshot. A snapshot is never
+	// mutated: AddPrefixFilter / AddCommunityFilter store a new one
+	// under mu, so per-elem, per-record and decode-worker readers load
+	// it without locking.
+	compiled atomic.Pointer[CompiledFilters]
 	ctx      context.Context
 
 	// elemSrc, when set, replaces the dump-file pipeline entirely: the
 	// stream is a thin filtering view over a push feed (NewLiveStream).
 	elemSrc ElemSource
 
-	mu sync.Mutex // guards dynamic filter updates
+	mu sync.Mutex // serialises filter updates; guards err and fetcher
 
 	seq     *merge.Sequence[*Record]
 	lastSrc *Record     // last record handed out in push mode
@@ -97,16 +101,17 @@ const (
 // bounds blocking operations (live-mode polling); pass
 // context.Background() for unbounded historical runs.
 func NewStream(ctx context.Context, di DataInterface, filters Filters) *Stream {
+	return newStream(ctx, di, nil, filters)
+}
+
+// newStream is the one constructor behind NewStream (di set) and
+// NewLiveStream (es set).
+func newStream(ctx context.Context, di DataInterface, es ElemSource, filters Filters) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Stream{
-		di:       di,
-		filters:  filters,
-		compiled: CompileFilters(filters),
-		ctx:      ctx,
-		openedAt: time.Now().UTC(),
-	}
+	s := &Stream{di: di, elemSrc: es, ctx: ctx, openedAt: time.Now().UTC()}
+	s.compiled.Store(CompileFilters(filters))
 	registerStream(s)
 	return s
 }
@@ -155,11 +160,7 @@ func (s *Stream) fetch() *resilience.Fetcher {
 }
 
 // Filters returns a copy of the stream's filter configuration.
-func (s *Stream) Filters() Filters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.filters
-}
+func (s *Stream) Filters() Filters { return s.compiled.Load().src }
 
 // ElemSource returns the push source feeding this stream, or nil for
 // pull (dump-file) streams. Compositors use it to re-wrap the source —
@@ -199,29 +200,25 @@ func (s *Stream) SourceStats() SourceStats {
 func (s *Stream) AddPrefixFilter(f PrefixFilter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.filters.Prefixes = append(s.filters.Prefixes, f)
-	s.compiled = CompileFilters(s.filters)
+	next := s.compiled.Load().src
+	next.Prefixes = append(slices.Clip(next.Prefixes), f)
+	s.compiled.Store(CompileFilters(next))
 }
 
 // AddCommunityFilter adds a community filter while the stream runs.
 func (s *Stream) AddCommunityFilter(f CommunityFilter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.filters.Communities = append(s.filters.Communities, f)
-	s.compiled = CompileFilters(s.filters)
-}
-
-func (s *Stream) currentCompiled() *CompiledFilters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compiled
+	next := s.compiled.Load().src
+	next.Communities = append(slices.Clip(next.Communities), f)
+	s.compiled.Store(CompileFilters(next))
 }
 
 // buildSequence partitions a batch of dump metas into overlapping
-// subsets and stacks a merger per subset. With more than one decode
-// worker configured, each subset's files are read through the
-// parallel prefetch pipeline (prefetch.go); ordering is identical
-// either way.
+// subsets and stacks a merger per subset. With one decode worker each
+// dump file feeds the merge directly (decoded inline on the consumer);
+// with more, through the parallel prefetch pipeline (prefetch.go).
+// Ordering is identical either way.
 func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record] {
 	intervals := make([]merge.Interval, len(metas))
 	for i, m := range metas {
@@ -229,39 +226,30 @@ func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record
 		intervals[i] = merge.Interval{Start: start, End: end}
 	}
 	groups := merge.PartitionOverlapping(intervals)
-	fetch := s.fetch()
-	dumpGroups := make([][]*dumpSource, 0, len(groups))
-	for _, g := range groups {
-		sources := make([]*dumpSource, 0, len(g))
-		for _, idx := range g {
-			sources = append(sources, newDumpSource(s.ctx, fetch, metas[idx], &s.filters))
-		}
-		dumpGroups = append(dumpGroups, sources)
-	}
 	workers := s.decodeWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
-		// Sequential pipeline: decode inline on the consumer.
-		srcGroups := make([][]merge.Source[*Record], 0, len(dumpGroups))
-		for _, g := range dumpGroups {
-			sources := make([]merge.Source[*Record], 0, len(g))
-			for _, ds := range g {
-				sources = append(sources, ds)
-			}
-			srcGroups = append(srcGroups, sources)
+	toSource := func(_ int, ds *dumpSource) merge.Source[*Record] { return ds }
+	if workers > 1 {
+		// A fresh batch replaces the previous pipeline; its workers have
+		// drained (the sequence hit EOF), so stopping is bookkeeping.
+		if s.stopPipeline != nil {
+			s.stopPipeline()
 		}
-		return merge.NewSequence(recordLess, srcGroups...)
+		p := &prefetchPipeline{sem: make(chan struct{}, workers), halt: make(chan struct{}), readahead: s.readahead}
+		toSource, s.stopPipeline = p.source, p.stop
 	}
-	// A fresh batch replaces the previous pipeline; its workers have
-	// drained (the sequence hit EOF), so stopping is bookkeeping.
-	if s.stopPipeline != nil {
-		s.stopPipeline()
+	fetch := s.fetch()
+	window := s.compiled.Load()
+	srcGroups := make([][]merge.Source[*Record], len(groups))
+	for i, g := range groups {
+		srcGroups[i] = make([]merge.Source[*Record], 0, len(g))
+		for _, idx := range g {
+			srcGroups[i] = append(srcGroups[i], toSource(i, newDumpSource(s.ctx, fetch, metas[idx], window)))
+		}
 	}
-	seq, stop := buildPrefetchSequence(dumpGroups, workers, s.readahead)
-	s.stopPipeline = stop
-	return seq
+	return merge.NewSequence(recordLess, srcGroups...)
 }
 
 // matchSourceRecord applies the meta-data filters to a pushed record:
@@ -273,7 +261,7 @@ func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record
 // once per pushed record, so it probes the compiled lookup sets
 // instead of scanning the filter slices.
 func (s *Stream) matchSourceRecord(rec *Record) bool {
-	c := s.currentCompiled()
+	c := s.compiled.Load()
 	if !c.matchTags(rec.Project, rec.Collector, rec.DumpType) {
 		return false
 	}
@@ -331,7 +319,7 @@ func (s *Stream) Next() (*Record, error) {
 				return nil, err
 			}
 			selected := metas[:0:0]
-			cc := s.currentCompiled()
+			cc := s.compiled.Load()
 			for _, m := range metas {
 				if cc.MatchMeta(m) {
 					selected = append(selected, m)
@@ -461,7 +449,7 @@ func (s *Stream) NextElem() (*Record, *Elem, error) {
 		if s.curRecord != nil && s.elemIdx < len(s.curElems) {
 			e := &s.curElems[s.elemIdx]
 			s.elemIdx++
-			if s.currentCompiled().MatchElem(e) {
+			if s.compiled.Load().MatchElem(e) {
 				s.elemsOut.Add(1)
 				s.lastElemKey.Store(s.curRecord.timeKey())
 				metStreamElems.Inc()

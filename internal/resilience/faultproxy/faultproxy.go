@@ -86,9 +86,8 @@ type Proxy struct {
 	upstream http.Handler
 
 	mu sync.Mutex
-	// plans, global, counts, rng and random are guarded by mu.
+	// plans, counts, rng and random are guarded by mu.
 	plans  map[string][]Fault // per-path FIFO fault queues
-	global []Fault            // FIFO faults applied to any path without a plan
 	counts map[string]int     // requests seen per path
 	rng    *rand.Rand         // nil until Randomize
 	random Random
@@ -111,14 +110,6 @@ func (p *Proxy) Push(path string, faults ...Fault) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.plans[path] = append(p.plans[path], faults...)
-}
-
-// PushGlobal queues faults consumed (FIFO) by any request whose path
-// has no queued plan.
-func (p *Proxy) PushGlobal(faults ...Fault) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.global = append(p.global, faults...)
 }
 
 // Randomize draws a fault per planless request from cfg using a
@@ -150,7 +141,7 @@ func (p *Proxy) TotalRequests() int {
 }
 
 // nextFault picks the fault for one request: the path's queued plan
-// first, then the global queue, then a random draw, else none.
+// first, then a random draw, else none.
 func (p *Proxy) nextFault(path string) Fault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -158,11 +149,6 @@ func (p *Proxy) nextFault(path string) Fault {
 	if q := p.plans[path]; len(q) > 0 {
 		f := q[0]
 		p.plans[path] = q[1:]
-		return f
-	}
-	if len(p.global) > 0 {
-		f := p.global[0]
-		p.global = p.global[1:]
 		return f
 	}
 	if p.rng != nil {

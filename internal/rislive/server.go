@@ -3,7 +3,6 @@ package rislive
 import (
 	"bufio"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -394,23 +393,36 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	keepAlive := s.keepAliveInterval()
-	ticker := time.NewTicker(keepAlive)
-	defer ticker.Stop()
-
-	// Frames arrive pre-rendered ("data: ...\n\n", shared across
-	// subscribers); the writer copies nothing and formats nothing. Elem
-	// frames carry their Publish-enqueue time, which becomes the
-	// publish-to-write latency observation once the socket write lands.
-	lastWrite := time.Now()
-	write := func(f frame) bool {
-		if _, err := w.Write(f.b); err != nil {
-			return false
+	write := func(b []byte) error {
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 		flusher.Flush()
+		return nil
+	}
+	// The liveness frame is a bare SSE comment.
+	s.writeLoop(c, seeded, write, []byte(": keepalive\n\n"), nil, r.Context().Done())
+}
+
+// writeLoop is the subscriber write loop of both transports. Frames
+// arrive pre-rendered (shared across subscribers), so the writer
+// copies nothing and formats nothing. Elem frames carry their
+// Publish-enqueue time, which becomes the publish-to-write latency
+// observation once write lands. The loop returns when write fails or
+// end fires; when the subscriber is disconnected it writes bye, if
+// set, and returns.
+func (s *Server) writeLoop(c *subscriber, seeded int64, write func([]byte) error, liveness, bye []byte, end <-chan struct{}) {
+	keepAlive := s.keepAliveInterval()
+	lastWrite := time.Now()
+	ticker := time.NewTicker(keepAlive)
+	defer ticker.Stop()
+	send := func(f frame) bool {
+		if write(f.b) != nil {
+			return false
+		}
 		lastWrite = time.Now()
 		if f.enq != 0 {
-			metPublishWrite.Observe(float64(time.Now().UnixNano()-f.enq) / 1e9)
+			metPublishWrite.Observe(float64(lastWrite.UnixNano()-f.enq) / 1e9)
 		}
 		return true
 	}
@@ -423,19 +435,22 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request) {
 	// them below every future gap window. Skipped when nothing had
 	// been published yet — there is no feed time to report (the shard
 	// loop chases this subscriber with one once there is).
-	if seeded > 0 {
-		if !write(frame{b: renderPing(seeded, 0, false)}) {
-			return
-		}
+	if seeded > 0 && !send(frame{b: renderPing(seeded, 0, c.ws)}) {
+		return
 	}
 	for {
 		select {
-		case <-r.Context().Done():
+		case <-end:
 			return
 		case <-c.done:
+			if bye != nil {
+				// Best effort, so well-behaved clients see an orderly
+				// shutdown rather than a cut socket.
+				write(bye)
+			}
 			return
 		case f := <-c.ch:
-			if !write(f) {
+			if !send(f) {
 				return
 			}
 		case <-ticker.C:
@@ -443,16 +458,11 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request) {
 			// already ordered behind the queued elems. This timer only
 			// guards transport liveness: if nothing has been written
 			// for a full interval (e.g. the buffer is saturated and
-			// the shard skipped our ping), emit a bare SSE comment —
-			// it carries no watermark claim, so ordering is moot.
-			if time.Since(lastWrite) < keepAlive {
-				continue
-			}
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
+			// the shard skipped our ping), emit the liveness frame — it
+			// carries no watermark claim, so ordering is moot.
+			if time.Since(lastWrite) >= keepAlive && !send(frame{b: liveness}) {
 				return
 			}
-			flusher.Flush()
-			lastWrite = time.Now()
 		}
 	}
 }
@@ -503,50 +513,12 @@ func (s *Server) serveWS(w http.ResponseWriter, r *http.Request) {
 	readerDone := make(chan struct{})
 	go wsServeRead(brw.Reader, c, readerDone)
 
-	keepAlive := s.keepAliveInterval()
-	ticker := time.NewTicker(keepAlive)
-	defer ticker.Stop()
-	lastWrite := time.Now()
-	write := func(f frame) bool {
-		if _, err := conn.Write(f.b); err != nil {
-			return false
-		}
-		lastWrite = time.Now()
-		if f.enq != 0 {
-			metPublishWrite.Observe(float64(time.Now().UnixNano()-f.enq) / 1e9)
-		}
-		return true
+	write := func(b []byte) error {
+		_, err := conn.Write(b)
+		return err
 	}
-	// Hello seed, same contract as SSE (see serveSSE).
-	if seeded > 0 {
-		if !write(frame{b: renderPing(seeded, 0, true)}) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-readerDone:
-			return
-		case <-c.done:
-			// Best-effort close frame so well-behaved clients see an
-			// orderly shutdown rather than a cut socket.
-			conn.Write(wsControlFrame(wsOpClose, nil))
-			return
-		case f := <-c.ch:
-			if !write(f) {
-				return
-			}
-		case <-ticker.C:
-			// Same liveness-only role as the SSE bare keepalive: a WS
-			// ping control frame carries no watermark claim.
-			if time.Since(lastWrite) < keepAlive {
-				continue
-			}
-			if !write(frame{b: wsControlFrame(wsOpPing, nil)}) {
-				return
-			}
-		}
-	}
+	// The liveness frame is a ping; a disconnect sends a close frame.
+	s.writeLoop(c, seeded, write, wsControlFrame(wsOpPing, nil), wsControlFrame(wsOpClose, nil), readerDone)
 }
 
 // wsServeRead drains client-to-server frames: pongs to client pings

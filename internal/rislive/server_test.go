@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -220,38 +222,161 @@ func TestKeepalivePingsCarryDrops(t *testing.T) {
 	t.Fatalf("stream ended without a ping reporting drops: %v", scanner.Err())
 }
 
-// TestDisconnectClients force-closes streams server-side.
-func TestDisconnectClients(t *testing.T) {
-	srv := &Server{KeepAlive: time.Hour}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	defer srv.Close()
+// Transport frame kinds reported by subscribeFrames.
+const (
+	frameData     = "data"
+	frameLiveness = "liveness" // SSE comment or WebSocket ping
+	frameClose    = "close"    // WebSocket close frame
+)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	done := make(chan struct{})
+// subscribeFrames opens one raw subscription over SSE or WebSocket and
+// reports the kind of every frame the server writes, in order. The
+// channel closes when the server ends the stream.
+func subscribeFrames(t *testing.T, hs *httptest.Server, ws bool) <-chan string {
+	t.Helper()
+	frames := make(chan string, 64)
+	if !ws {
+		resp, err := http.Get(hs.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		go func() {
+			defer close(frames)
+			scanner := bufio.NewScanner(resp.Body)
+			for scanner.Scan() {
+				switch line := scanner.Text(); {
+				case strings.HasPrefix(line, ":"):
+					frames <- frameLiveness
+				case strings.HasPrefix(line, "data: "):
+					frames <- frameData
+				}
+			}
+		}()
+		return frames
+	}
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	req := "GET / HTTP/1.1\r\nHost: feed\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n" +
+		"Sec-WebSocket-Version: 13\r\nSec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
+	if _, err := io.WriteString(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: HTTP %d", resp.StatusCode)
+	}
 	go func() {
-		defer close(done)
-		readEvents(ctx, t, hs.URL, Subscription{}, 100) // blocks until disconnect
+		defer close(frames)
+		rd := wsReader{r: br}
+		for {
+			op, _, err := rd.next()
+			switch op {
+			case wsOpClose:
+				frames <- frameClose
+			case wsOpPing:
+				frames <- frameLiveness
+			case wsOpText:
+				frames <- frameData
+			}
+			if err != nil {
+				return
+			}
+		}
 	}()
+	return frames
+}
+
+func transportName(ws bool) string {
+	if ws {
+		return "ws"
+	}
+	return "sse"
+}
+
+// waitSubscribers polls the server until it counts want subscribers.
+func waitSubscribers(t *testing.T, srv *Server, want int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Subscribers < 1 {
+	for srv.Stats().Subscribers != want {
 		if time.Now().After(deadline) {
-			t.Fatal("subscriber did not register")
+			t.Fatalf("%d subscribers, want %d", srv.Stats().Subscribers, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	srv.DisconnectClients()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("client stream did not close after DisconnectClients")
+}
+
+// TestDisconnectClients force-closes streams server-side over both
+// transports: the stream ends, a WebSocket subscriber gets a close
+// frame before EOF, and the subscriber is unregistered.
+func TestDisconnectClients(t *testing.T) {
+	for _, ws := range []bool{false, true} {
+		t.Run(transportName(ws), func(t *testing.T) {
+			srv := &Server{KeepAlive: time.Hour}
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+			defer srv.Close()
+
+			frames := subscribeFrames(t, hs, ws)
+			waitSubscribers(t, srv, 1)
+			srv.DisconnectClients()
+			timeout := time.After(5 * time.Second)
+			last := ""
+			for open := true; open; {
+				select {
+				case f, ok := <-frames:
+					if ok {
+						last = f
+					}
+					open = ok
+				case <-timeout:
+					t.Fatal("client stream did not close after DisconnectClients")
+				}
+			}
+			if ws && last != frameClose {
+				t.Fatalf("last frame before EOF = %q, want a close frame", last)
+			}
+			waitSubscribers(t, srv, 0)
+		})
 	}
-	for srv.Stats().Subscribers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscriber not unregistered")
-		}
-		time.Sleep(5 * time.Millisecond)
+}
+
+// TestIdleSubscriberLiveness holds every shard loop, so no watermark
+// ping reaches the subscriber: the transport's liveness frame (SSE
+// comment, WebSocket ping) must still arrive within three keepalive
+// intervals.
+func TestIdleSubscriberLiveness(t *testing.T) {
+	for _, ws := range []bool{false, true} {
+		t.Run(transportName(ws), func(t *testing.T) {
+			srv := &Server{KeepAlive: 200 * time.Millisecond}
+			srv.SetShardGate(make(chan struct{})) // never released
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+			defer srv.Close()
+
+			frames := subscribeFrames(t, hs, ws)
+			timeout := time.After(3 * srv.KeepAlive)
+			for {
+				select {
+				case f, ok := <-frames:
+					if !ok {
+						t.Fatal("stream ended before a liveness frame")
+					}
+					if f == frameLiveness {
+						return
+					}
+				case <-timeout:
+					t.Fatalf("no liveness frame within %v", 3*srv.KeepAlive)
+				}
+			}
+		})
 	}
 }
 

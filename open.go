@@ -17,10 +17,11 @@ type openConfig struct {
 	repairOpts    RepairOptions
 	repairOptsSet bool
 	filters       Filters
-	decodeWorkers int
-	workersSet    bool
-	readahead     int
-	readaheadSet  bool
+	// tune holds the stream setters WithDecodeWorkers / WithReadahead
+	// queue. Open applies them after the source built the stream, so
+	// an explicit option wins over the source's registry option and an
+	// unset one leaves it alone.
+	tune []func(*Stream)
 }
 
 // Option configures Open.
@@ -89,7 +90,11 @@ func WithRepair(backfillName string, opts SourceOptions) Option {
 }
 
 // WithRepairInstance is WithRepair for an already-constructed backfill
-// source (a Source or pull DataInterface).
+// source (a Source or pull DataInterface). Every loss window reopens
+// the backfill source, and a DataInterface is a single-use cursor: a
+// bare one repairs the first window only. Pass a Source that builds
+// its DataInterface per OpenStream (or use WithRepair) to repair them
+// all.
 func WithRepairInstance(backfill any) Option {
 	return func(c *openConfig) error {
 		b, err := core.AsSource(backfill)
@@ -126,8 +131,7 @@ func WithRepairOptions(opts RepairOptions) Option {
 // "decode-workers" option of the pull sources.
 func WithDecodeWorkers(n int) Option {
 	return func(c *openConfig) error {
-		c.decodeWorkers = n
-		c.workersSet = true
+		c.tune = append(c.tune, func(s *Stream) { s.SetDecodeWorkers(n) })
 		return nil
 	}
 }
@@ -140,8 +144,7 @@ func WithDecodeWorkers(n int) Option {
 // "readahead" option of the pull sources.
 func WithReadahead(records int) Option {
 	return func(c *openConfig) error {
-		c.readahead = records
-		c.readaheadSet = true
+		c.tune = append(c.tune, func(s *Stream) { s.SetReadahead(records) })
 		return nil
 	}
 }
@@ -241,14 +244,8 @@ func Open(ctx context.Context, opts ...Option) (*Stream, error) {
 	if name != "" {
 		s.SetSourceName(name)
 	}
-	// Applied after construction, so an explicitly-set option wins
-	// over the equivalent registry option the source itself carried —
-	// without clobbering the other dimension when only one was set.
-	if cfg.workersSet {
-		s.SetDecodeWorkers(cfg.decodeWorkers)
-	}
-	if cfg.readaheadSet {
-		s.SetReadahead(cfg.readahead)
+	for _, set := range cfg.tune {
+		set(s)
 	}
 	return s, nil
 }

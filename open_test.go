@@ -121,16 +121,7 @@ func TestOpenCSVSource(t *testing.T) {
 	if len(metas) == 0 {
 		t.Fatal("no dumps scanned")
 	}
-	csvPath := filepath.Join(t.TempDir(), "index.csv")
-	var sb strings.Builder
-	sb.WriteString("# test index\n")
-	for _, m := range metas {
-		fmt.Fprintf(&sb, "%s,%s,%s,%d,%d,%s\n", m.Project, m.Collector, string(m.Type),
-			m.Time.Unix(), int64(m.Duration/time.Second), m.URL)
-	}
-	if err := os.WriteFile(csvPath, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	csvPath := writeCSVIndex(t, metas)
 
 	s, err := bgpstream.Open(context.Background(),
 		bgpstream.WithSource("csvfile", bgpstream.SourceOptions{"path": csvPath}),
@@ -152,6 +143,23 @@ func TestOpenCSVSource(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no records through csvfile source")
 	}
+}
+
+// writeCSVIndex writes metas as a csvfile source index and returns its
+// path.
+func writeCSVIndex(t *testing.T, metas []archive.DumpMeta) string {
+	t.Helper()
+	csvPath := filepath.Join(t.TempDir(), "index.csv")
+	var sb strings.Builder
+	sb.WriteString("# test index\n")
+	for _, m := range metas {
+		fmt.Fprintf(&sb, "%s,%s,%s,%d,%d,%s\n", m.Project, m.Collector, string(m.Type),
+			m.Time.Unix(), int64(m.Duration/time.Second), m.URL)
+	}
+	if err := os.WriteFile(csvPath, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return csvPath
 }
 
 // TestOpenPushEndToEnd drives the unified front end over the push

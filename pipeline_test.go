@@ -35,6 +35,14 @@ type pipelineRecord struct {
 	body      []byte
 }
 
+// samePipelineRecord reports whether two projections are identical.
+func samePipelineRecord(a, b pipelineRecord) bool {
+	return a.project == b.project && a.collector == b.collector &&
+		a.dumpType == b.dumpType && a.dumpTime.Equal(b.dumpTime) &&
+		a.status == b.status && a.position == b.position &&
+		a.time.Equal(b.time) && bytes.Equal(a.body, b.body)
+}
+
 // collectRecords drains a directory stream configured with the given
 // pipeline parameters into comparable projections.
 func collectRecords(t *testing.T, dir string, workers, readahead int) []pipelineRecord {
@@ -42,6 +50,13 @@ func collectRecords(t *testing.T, dir string, workers, readahead int) []pipeline
 	s := core.NewStream(context.Background(), &core.Directory{Dir: dir}, core.Filters{})
 	s.SetDecodeWorkers(workers)
 	s.SetReadahead(readahead)
+	return drainRecords(t, s)
+}
+
+// drainRecords reads s to EOF into comparable projections and closes
+// it.
+func drainRecords(t *testing.T, s *core.Stream) []pipelineRecord {
+	t.Helper()
 	defer s.Close()
 	var out []pipelineRecord
 	for {
@@ -50,7 +65,7 @@ func collectRecords(t *testing.T, dir string, workers, readahead int) []pipeline
 			return out
 		}
 		if err != nil {
-			t.Fatalf("workers=%d: Next: %v", workers, err)
+			t.Fatalf("Next: %v", err)
 		}
 		out = append(out, pipelineRecord{
 			project:   rec.Project,
@@ -153,10 +168,7 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 				}
 				for i := range want {
 					w, g := want[i], got[i]
-					if g.project != w.project || g.collector != w.collector ||
-						g.dumpType != w.dumpType || !g.dumpTime.Equal(w.dumpTime) ||
-						g.status != w.status || g.position != w.position ||
-						!g.time.Equal(w.time) || !bytes.Equal(g.body, w.body) {
+					if !samePipelineRecord(g, w) {
 						t.Fatalf("workers=%d readahead=%d: record %d differs:\n got %+v\nwant %+v",
 							cfg.workers, cfg.readahead, i, g, w)
 					}

@@ -231,61 +231,55 @@ var resilienceOptions = []SourceOption{
 }
 
 // resilienceOpts parses the shared fault-tolerance options of a pull
-// source. set reports whether any of them was given explicitly; when
-// false the stream keeps its zero-value (default) fetch behaviour.
-func resilienceOpts(name string, opts SourceOptions) (pol resilience.Policy, threshold int, set bool, err error) {
+// source. Options left unset keep their zero value, which the fetcher
+// and breaker read as "defaults".
+func resilienceOpts(name string, opts SourceOptions) (pol resilience.Policy, threshold int, err error) {
 	if v := opts["retry"]; v != "" {
 		n, aerr := strconv.Atoi(v)
 		if aerr != nil || n < 1 {
-			return pol, 0, false, fmt.Errorf("bgpstream: source %q option %q: bad attempt count %q", name, "retry", v)
+			return pol, 0, fmt.Errorf("bgpstream: source %q option %q: bad attempt count %q", name, "retry", v)
 		}
-		pol.MaxAttempts, set = n, true
+		pol.MaxAttempts = n
 	}
-	backoff, err := optDuration(name, opts, "retry-backoff", 0)
-	if err != nil {
-		return pol, 0, false, err
-	}
-	if backoff > 0 {
-		pol.Backoff, set = backoff, true
+	if pol.Backoff, err = optDuration(name, opts, "retry-backoff", 0); err != nil {
+		return pol, 0, err
 	}
 	if v := opts["breaker-threshold"]; v != "" {
 		n, aerr := strconv.Atoi(v)
 		if aerr != nil || n < 0 {
-			return pol, 0, false, fmt.Errorf("bgpstream: source %q option %q: bad threshold %q", name, "breaker-threshold", v)
+			return pol, 0, fmt.Errorf("bgpstream: source %q option %q: bad threshold %q", name, "breaker-threshold", v)
 		}
 		if n == 0 {
 			threshold = -1 // the stream API uses negative for "disabled"
 		} else {
 			threshold = n
 		}
-		set = true
 	}
-	return pol, threshold, set, nil
+	return pol, threshold, nil
 }
 
-// pullPipelined wraps a pull data interface as a Source applying the
-// shared parallel-ingest and fault-tolerance options at stream
-// construction.
-func pullPipelined(name string, opts SourceOptions, di core.DataInterface) (Source, error) {
+// pullPipelined builds a registry pull source from newDI, which makes
+// the source's data interface, and applies the shared parallel-ingest
+// and fault-tolerance options. newDI runs once per OpenStream: a
+// DataInterface is a single-use cursor, and a registry Source must be
+// reopenable (gap repair opens its backfill source once per loss
+// window). newDI also receives the parsed fetch policy, for interfaces
+// that query over the network themselves.
+func pullPipelined(name string, opts SourceOptions, newDI func(Filters, resilience.Policy) core.DataInterface) (Source, error) {
 	workers, readahead, err := pipelineOpts(name, opts)
 	if err != nil {
 		return nil, err
 	}
-	pol, threshold, rset, err := resilienceOpts(name, opts)
+	pol, threshold, err := resilienceOpts(name, opts)
 	if err != nil {
 		return nil, err
 	}
-	if workers == 0 && readahead == 0 && !rset {
-		return PullSource(di), nil
-	}
 	return core.SourceFunc(func(ctx context.Context, f Filters) (*Stream, error) {
-		s := core.NewStream(ctx, di, f)
+		s := core.NewStream(ctx, newDI(f, pol), f)
 		s.SetDecodeWorkers(workers)
 		s.SetReadahead(readahead)
-		if rset {
-			s.SetFetchPolicy(pol)
-			s.SetBreakerThreshold(threshold)
-		}
+		s.SetFetchPolicy(pol)
+		s.SetBreakerThreshold(threshold)
 		return s, nil
 	}), nil
 }
@@ -312,35 +306,18 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		workers, readahead, err := pipelineOpts("broker", opts)
-		if err != nil {
-			return nil, err
-		}
-		pol, threshold, rset, err := resilienceOpts("broker", opts)
-		if err != nil {
-			return nil, err
-		}
 		url := opts["url"]
-		return core.SourceFunc(func(ctx context.Context, f Filters) (*Stream, error) {
+		return pullPipelined("broker", opts, func(f Filters, pol resilience.Policy) core.DataInterface {
 			c := broker.NewClient(url, f)
 			if poll > 0 {
 				c.PollInterval = poll
 			}
 			c.Window = window
-			if rset {
-				// The same policy governs meta-data queries and dump
-				// fetches: one knob for the whole network edge.
-				c.Retry = pol
-			}
-			s := core.NewStream(ctx, c, f)
-			s.SetDecodeWorkers(workers)
-			s.SetReadahead(readahead)
-			if rset {
-				s.SetFetchPolicy(pol)
-				s.SetBreakerThreshold(threshold)
-			}
-			return s, nil
-		}), nil
+			// The same policy governs meta-data queries and dump
+			// fetches: one knob for the whole network edge.
+			c.Retry = pol
+			return c
+		})
 	})
 
 	RegisterSource(SourceInfo{
@@ -351,7 +328,10 @@ func init() {
 			{Name: "path", Description: "archive root directory", Required: true},
 		}, pipelineOptions...), resilienceOptions...),
 	}, func(opts SourceOptions) (Source, error) {
-		return pullPipelined("directory", opts, &core.Directory{Dir: opts["path"]})
+		dir := opts["path"]
+		return pullPipelined("directory", opts, func(Filters, resilience.Policy) core.DataInterface {
+			return &core.Directory{Dir: dir}
+		})
 	})
 
 	RegisterSource(SourceInfo{
@@ -362,7 +342,10 @@ func init() {
 			{Name: "path", Description: "CSV index file", Required: true},
 		}, pipelineOptions...), resilienceOptions...),
 	}, func(opts SourceOptions) (Source, error) {
-		return pullPipelined("csvfile", opts, &core.CSVFile{Path: opts["path"]})
+		path := opts["path"]
+		return pullPipelined("csvfile", opts, func(Filters, resilience.Policy) core.DataInterface {
+			return &core.CSVFile{Path: path}
+		})
 	})
 
 	RegisterSource(SourceInfo{
@@ -413,7 +396,9 @@ func init() {
 				Time: ts, Duration: dur, URL: u,
 			})
 		}
-		return pullPipelined("singlefile", opts, &core.SingleFiles{Metas: metas})
+		return pullPipelined("singlefile", opts, func(Filters, resilience.Policy) core.DataInterface {
+			return &core.SingleFiles{Metas: metas}
+		})
 	})
 
 	RegisterSource(SourceInfo{
