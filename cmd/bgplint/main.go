@@ -10,12 +10,15 @@
 //	bgplint -list
 //	bgplint -run eofcompare,goleak ./internal/...
 //
-// As a go vet tool, so the suite also runs under the standard vet
-// driver with compiler export data instead of from-source
-// type-checking:
+// As a go vet tool, so the suite also runs under go vet:
 //
 //	go build -o bgplint ./cmd/bgplint
 //	go vet -vettool=$(pwd)/bgplint ./...
+//
+// Both modes type-check each package the same way, against the
+// compiler export data of its dependencies: go vet supplies that data
+// per package, the standalone mode lists it with go list -export.
+// -run selects analyzers in either mode.
 //
 // Exit status: 0 clean, 2 findings, 1 operational error.
 package main
@@ -103,15 +106,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// go vet invokes the tool with a single *.cfg argument describing
 	// one compiled package (the unitchecker protocol).
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return lint.RunVetUnit(rest[0], stderr)
+		return lint.RunVetUnit(rest[0], analyzers, stderr)
 	}
 
 	patterns := rest
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader := lint.NewLoader()
-	pkgs, err := loader.Load(".", patterns...)
+	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "bgplint: %v\n", err)
 		return 1

@@ -4,27 +4,26 @@ import (
 	"testing"
 
 	"github.com/bgpstream-go/bgpstream/internal/lint"
-	"github.com/bgpstream-go/bgpstream/internal/lint/linttest"
 )
 
 func TestEOFCompare(t *testing.T) {
-	linttest.Run(t, "testdata", "eofcmp", lint.EOFCompare)
+	runGolden(t, "testdata", "eofcmp", lint.EOFCompare)
 }
 
 func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, "testdata", "hotalloc", lint.HotPathAlloc)
+	runGolden(t, "testdata", "hotalloc", lint.HotPathAlloc)
 }
 
 func TestObsvLabels(t *testing.T) {
-	linttest.Run(t, "testdata", "obsvuse", lint.ObsvLabels)
+	runGolden(t, "testdata", "obsvuse", lint.ObsvLabels)
 }
 
 func TestGoLeak(t *testing.T) {
-	linttest.Run(t, "testdata", "leak", lint.GoLeak)
+	runGolden(t, "testdata", "leak", lint.GoLeak)
 }
 
 func TestLockDiscipline(t *testing.T) {
-	linttest.Run(t, "testdata", "lockdisc", lint.LockDiscipline)
+	runGolden(t, "testdata", "lockdisc", lint.LockDiscipline)
 }
 
 func TestByName(t *testing.T) {

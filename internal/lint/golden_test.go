@@ -1,12 +1,13 @@
-// Package linttest is a miniature analysistest for the internal/lint
-// suite: it loads a GOPATH-style fixture package from a testdata tree,
-// runs analyzers over it, and matches every diagnostic against
-// `// want "regexp"` comments in the fixture sources. Each want
+package lint_test
+
+// The golden-file harness behind the analyzer tests, a miniature
+// analysistest: runGolden loads a GOPATH-style fixture package from a
+// testdata tree, runs analyzers over it, and matches every diagnostic
+// against `// want "regexp"` comments in the fixture sources. Each want
 // expectation must be satisfied by a diagnostic on its line, and each
 // diagnostic must be claimed by a want expectation — golden coverage
 // in both directions, so analyzers cannot silently over- or
 // under-report.
-package linttest
 
 import (
 	"go/token"
@@ -35,16 +36,13 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture package at <testdata>/src/<path> (imports
-// resolve GOPATH-style below <testdata>/src first, then the standard
-// library), applies the analyzers, and fails t on any mismatch between
-// diagnostics and want expectations.
-func Run(t *testing.T, testdata, path string, analyzers ...*lint.Analyzer) {
+// runGolden loads the fixture package at <testdata>/src/<path>
+// (imports resolve GOPATH-style below <testdata>/src first, then the
+// standard library), applies the analyzers, and fails t on any
+// mismatch between diagnostics and want expectations.
+func runGolden(t *testing.T, testdata, path string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	loader := lint.NewLoader()
-	loader.SrcRoot = filepath.Join(testdata, "src")
-	dir := filepath.Join(loader.SrcRoot, filepath.FromSlash(path))
-	pkg, err := loader.LoadDir(dir, path)
+	pkg, err := lint.LoadFixture(filepath.Join(testdata, "src"), path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}

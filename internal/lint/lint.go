@@ -14,7 +14,7 @@
 //
 // The suite runs standalone through cmd/bgplint (and as a
 // go vet -vettool), and each analyzer has golden-file coverage under
-// testdata/ driven by the linttest harness.
+// testdata/ driven by the harness in golden_test.go.
 //
 // Source directives (comment markers the analyzers understand):
 //

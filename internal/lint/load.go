@@ -28,88 +28,47 @@ type Package struct {
 	Info       *types.Info
 }
 
-// Loader parses and type-checks packages for analysis using only the
-// standard toolchain: package enumeration shells out to `go list`, and
-// dependencies are type-checked from source (go/importer "source"), so
-// no pre-built export data or external module is required.
-type Loader struct {
-	// SrcRoot, when set, resolves imports GOPATH-style below this
-	// directory before falling back to the standard importer. The
-	// linttest harness points it at a testdata tree so golden-file
-	// packages can import fixture dependencies.
-	SrcRoot string
-
-	fset  *token.FileSet
-	std   types.Importer
-	cache map[string]*Package
+// A unit is one package to type-check. Both bgplint modes reduce to
+// units — go vet hands the tool one per .cfg file, the standalone
+// mode lists them with go list -export — and both type-check them
+// the same way, through checkUnit, against compiler export data.
+type unit struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	ImportMap  map[string]string // import path as written → canonical path
 }
 
-// NewLoader returns a Loader with a fresh FileSet and a shared source
-// importer (dependency type-checks are cached across Load calls).
-func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		cache: make(map[string]*Package),
-	}
+// exportImporter imports each package from the compiler export data
+// file that export names for its canonical path. It keeps what it
+// decodes, so the units that share one share the decoding too.
+func exportImporter(fset *token.FileSet, export map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 }
 
-// Load enumerates packages matching the `go list` patterns relative to
-// dir and type-checks each one's non-test Go files.
-func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
-	metas, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*Package, 0, len(metas))
-	for _, m := range metas {
-		if len(m.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(m.GoFiles))
-		for i, f := range m.GoFiles {
-			files[i] = filepath.Join(m.Dir, f)
-		}
-		pkg, err := l.loadFiles(m.ImportPath, m.Dir, files)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// LoadDir type-checks every .go file in dir (including _test.go files,
-// which analyzers are expected to exempt themselves) as one package.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		files = append(files, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return l.loadFiles(importPath, dir, files)
-}
-
-func (l *Loader) loadFiles(importPath, dir string, filenames []string) (*Package, error) {
+// checkUnit parses u's files and type-checks them, resolving each
+// import through u.ImportMap and then imp.
+func checkUnit(fset *token.FileSet, u *unit, imp types.Importer) (*Package, error) {
 	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range u.GoFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if canonical, ok := u.ImportMap[path]; ok {
+			path = canonical
+		}
+		return imp.Import(path)
+	})}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -118,49 +77,52 @@ func (l *Loader) loadFiles(importPath, dir string, filenames []string) (*Package
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, err := conf.Check(importPath, l.fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, typeErrs[0])
-	}
+	tpkg, err := conf.Check(u.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", u.ImportPath, err)
 	}
 	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       l.fset,
+		ImportPath: u.ImportPath,
+		Dir:        u.Dir,
+		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
 	}, nil
 }
 
-// Import implements types.Importer: SrcRoot fixture packages first,
-// then the shared from-source importer for everything else.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Load type-checks the non-test Go files of each package matching the
+// go list patterns, relative to dir, in import-path order. One
+// go list -export -deps call enumerates the packages and builds (or
+// finds in the build cache) the export data of all their dependencies.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
-	if l.SrcRoot != "" {
-		dir := filepath.Join(l.SrcRoot, filepath.FromSlash(path))
-		if st, err := os.Stat(dir); err == nil && st.IsDir() {
-			if pkg, ok := l.cache[path]; ok {
-				return pkg.Types, nil
-			}
-			pkg, err := l.LoadDir(dir, path)
-			if err != nil {
-				return nil, err
-			}
-			l.cache[path] = pkg
-			return pkg.Types, nil
+	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, exportFiles(listed))
+	var pkgs []*Package
+	for _, m := range listed {
+		if m.DepOnly || len(m.GoFiles) == 0 {
+			continue
 		}
+		files := make([]string, len(m.GoFiles))
+		for i, f := range m.GoFiles {
+			files[i] = filepath.Join(m.Dir, f)
+		}
+		pkg, err := checkUnit(fset, &unit{m.ImportPath, m.Dir, files, m.ImportMap}, imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	return l.std.Import(path)
+	return pkgs, nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -169,10 +131,16 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	ImportMap  map[string]string
 }
 
+// goList runs go list -export -deps over the patterns: the packages
+// they name, then every dependency (DepOnly), each with its export
+// data file.
 func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles"}, patterns...)
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,ImportMap"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -193,4 +161,16 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 		metas = append(metas, m)
 	}
 	return metas, nil
+}
+
+// exportFiles maps each listed package's import path to its export
+// data file.
+func exportFiles(listed []listedPackage) map[string]string {
+	export := make(map[string]string, len(listed))
+	for _, m := range listed {
+		if m.Export != "" {
+			export[m.ImportPath] = m.Export
+		}
+	}
+	return export
 }

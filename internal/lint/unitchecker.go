@@ -3,43 +3,32 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"strings"
 )
 
-// vetConfig mirrors the JSON configuration the go command writes for
-// `go vet -vettool` invocations (x/tools unitchecker protocol): one
-// package per process, with type information supplied as compiler
-// export data rather than re-type-checked source.
+// vetConfig is the subset of the JSON configuration the go command
+// writes for `go vet -vettool` invocations (x/tools unitchecker
+// protocol) that the suite consumes: one package per process, with
+// its dependencies supplied as compiler export data.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoreFiles               []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// RunVetUnit executes the suite on one vet unit described by the .cfg
+// RunVetUnit runs the analyzers on one vet unit described by the .cfg
 // file the go command hands a vettool. It returns the process exit
 // code: 0 clean, 2 findings, 1 operational failure (with the error
 // printed to w).
-func RunVetUnit(cfgFile string, w io.Writer) int {
-	diags, err := vetUnit(cfgFile)
+func RunVetUnit(cfgFile string, analyzers []*Analyzer, w io.Writer) int {
+	diags, err := vetUnit(cfgFile, analyzers)
 	if err != nil {
 		fmt.Fprintf(w, "bgplint: %v\n", err)
 		return 1
@@ -53,7 +42,7 @@ func RunVetUnit(cfgFile string, w io.Writer) int {
 	return 0
 }
 
-func vetUnit(cfgFile string) ([]Diagnostic, error) {
+func vetUnit(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		return nil, err
@@ -74,79 +63,12 @@ func vetUnit(cfgFile string) ([]Diagnostic, error) {
 		return nil, nil
 	}
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return nil, nil
-			}
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{
-		Importer: vetImporter{imp, cfg.ImportMap},
-		Error:    func(error) {}, // collect via Check's return
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
+	pkg, err := checkUnit(fset, &unit{cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap}, exportImporter(fset, cfg.PackageFile))
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("type-checking %s: %w", cfg.ImportPath, err)
+		return nil, err
 	}
-	return Run(&Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, All)
-}
-
-// vetImporter maps source-level import paths through the vet config's
-// ImportMap (vendoring, test variants) before hitting export data.
-type vetImporter struct {
-	imp       types.Importer
-	importMap map[string]string
-}
-
-func (v vetImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if canonical, ok := v.importMap[path]; ok && canonical != path {
-		if from, ok := v.imp.(types.ImporterFrom); ok {
-			return from.ImportFrom(canonical, "", 0)
-		}
-		path = canonical
-	}
-	if strings.HasPrefix(path, "vendor/") {
-		path = strings.TrimPrefix(path, "vendor/")
-	}
-	return v.imp.Import(path)
+	return Run(pkg, analyzers)
 }

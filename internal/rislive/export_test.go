@@ -2,11 +2,10 @@ package rislive
 
 import "github.com/bgpstream-go/bgpstream/internal/core"
 
-// Test-only exports. The stress/property suite lives in the external
-// rislive_test package so it can use internal/rislive/fanouttest
-// (which imports this package — an internal test file would cycle);
-// these hooks hand it the two internals the suite needs: the shard
-// subscription pre-index and the drain gate.
+// Test-only exports. The fan-out stress/property suite and its
+// harness live in the external rislive_test package; these hooks hand
+// it the two internals the suite needs: the shard subscription
+// pre-index and the drain gate.
 
 // TestIndex wraps a shard subscription pre-index for the superset
 // property suite.

@@ -1,6 +1,7 @@
-// Package fanouttest is the reusable harness behind the rislive
-// fan-out stress and property suites: randomized subscription and
-// elem generators over a small fixed feed topology, an in-process
+package rislive_test
+
+// The fan-out stress suite's harness: randomized subscription and elem
+// generators over a small fixed feed topology, an in-process
 // subscriber Sink speaking either wire transport (SSE or WebSocket)
 // against rislive.Server's handler directly — no TCP, so tens of
 // thousands of subscribers fit in one test process — and a
@@ -10,7 +11,6 @@
 // deliberately independent of the package's production decoder, so a
 // framing bug on the server cannot be cancelled out by the same bug
 // on the read side.
-package fanouttest
 
 import (
 	"bufio"
@@ -339,7 +339,7 @@ func (s *Sink) record(m rislive.Message) {
 	switch m.Type {
 	case rislive.TypeMessage:
 		if m.Data == nil {
-			s.setErr(errors.New("fanouttest: data message without payload"))
+			s.setErr(errors.New("fanout sink: data message without payload"))
 			return
 		}
 		b, err := json.Marshal(m.Data)
@@ -355,7 +355,7 @@ func (s *Sink) record(m rislive.Message) {
 		s.pings = append(s.pings, m)
 		s.mu.Unlock()
 	default:
-		s.setErr(fmt.Errorf("fanouttest: unexpected message type %q", m.Type))
+		s.setErr(fmt.Errorf("fanout sink: unexpected message type %q", m.Type))
 	}
 }
 
@@ -396,14 +396,14 @@ func (w *sseWriter) consumeEvent(event []byte) {
 		case bytes.HasPrefix(line, []byte("data: ")):
 			var m rislive.Message
 			if err := json.Unmarshal(bytes.TrimPrefix(line, []byte("data: ")), &m); err != nil {
-				w.sink.setErr(fmt.Errorf("fanouttest: bad SSE event %q: %w", line, err))
+				w.sink.setErr(fmt.Errorf("fanout sink: bad SSE event %q: %w", line, err))
 				return
 			}
 			w.sink.record(m)
 		case len(line) == 0 || line[0] == ':':
 			// Comment keepalive or blank: transport-level only.
 		default:
-			w.sink.setErr(fmt.Errorf("fanouttest: unexpected SSE line %q", line))
+			w.sink.setErr(fmt.Errorf("fanout sink: unexpected SSE line %q", line))
 		}
 	}
 }
@@ -432,17 +432,17 @@ func (s *Sink) readWS() {
 	br := bufio.NewReader(s.conn)
 	status, err := br.ReadString('\n')
 	if err != nil {
-		s.setErr(fmt.Errorf("fanouttest: ws handshake read: %w", err))
+		s.setErr(fmt.Errorf("fanout sink: ws handshake read: %w", err))
 		return
 	}
 	if !strings.Contains(status, "101") {
-		s.setErr(fmt.Errorf("fanouttest: ws handshake status %q", strings.TrimSpace(status)))
+		s.setErr(fmt.Errorf("fanout sink: ws handshake status %q", strings.TrimSpace(status)))
 		return
 	}
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
-			s.setErr(fmt.Errorf("fanouttest: ws handshake headers: %w", err))
+			s.setErr(fmt.Errorf("fanout sink: ws handshake headers: %w", err))
 			return
 		}
 		if line == "\r\n" || line == "\n" {
@@ -461,7 +461,7 @@ func (s *Sink) readWS() {
 		case 0x1, 0x2: // text/binary: one JSON envelope per frame
 			var m rislive.Message
 			if err := json.Unmarshal(payload, &m); err != nil {
-				s.setErr(fmt.Errorf("fanouttest: bad ws payload %q: %w", payload, err))
+				s.setErr(fmt.Errorf("fanout sink: bad ws payload %q: %w", payload, err))
 				return
 			}
 			s.record(m)
@@ -469,7 +469,7 @@ func (s *Sink) readWS() {
 			return
 		case 0x9, 0xA: // ping/pong: transport liveness only
 		default:
-			s.setErr(fmt.Errorf("fanouttest: unexpected ws opcode %#x", op))
+			s.setErr(fmt.Errorf("fanout sink: unexpected ws opcode %#x", op))
 			return
 		}
 	}
@@ -488,10 +488,10 @@ func readWSFrame(br *bufio.Reader) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	if hdr[0]&0x80 == 0 {
-		return 0, nil, fmt.Errorf("fanouttest: fragmented server frame (opcode %#x)", hdr[0]&0x0F)
+		return 0, nil, fmt.Errorf("fanout sink: fragmented server frame (opcode %#x)", hdr[0]&0x0F)
 	}
 	if hdr[1]&0x80 != 0 {
-		return 0, nil, errors.New("fanouttest: masked server-to-client frame")
+		return 0, nil, errors.New("fanout sink: masked server-to-client frame")
 	}
 	n := uint64(hdr[1] & 0x7F)
 	switch n {
@@ -509,7 +509,7 @@ func readWSFrame(br *bufio.Reader) (byte, []byte, error) {
 		n = binary.BigEndian.Uint64(ext[:])
 	}
 	if n > 1<<21 {
-		return 0, nil, fmt.Errorf("fanouttest: oversized frame (%d bytes)", n)
+		return 0, nil, fmt.Errorf("fanout sink: oversized frame (%d bytes)", n)
 	}
 	payload := make([]byte, int(n))
 	if _, err := io.ReadFull(br, payload); err != nil {
@@ -532,7 +532,7 @@ func WaitGoroutines(t testing.TB, baseline int, within time.Duration) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<22)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("fanouttest: %d goroutines still running (baseline %d):\n%s", n, baseline, buf)
+			t.Fatalf("%d goroutines still running (baseline %d):\n%s", n, baseline, buf)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

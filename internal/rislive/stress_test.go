@@ -14,13 +14,12 @@ import (
 
 	"github.com/bgpstream-go/bgpstream/internal/core"
 	"github.com/bgpstream-go/bgpstream/internal/rislive"
-	"github.com/bgpstream-go/bgpstream/internal/rislive/fanouttest"
 )
 
 // The fan-out stress/property suite. It lives in the external test
-// package so it can drive the server through fanouttest (which imports
-// rislive); the internals it needs — the shard pre-index and the drain
-// gate — come through export_test.go.
+// package with its harness (fanout_test.go), driving the server through
+// its exported surface; the internals it needs — the shard pre-index
+// and the drain gate — come through export_test.go.
 
 var stressT0 = time.Date(2016, 5, 12, 0, 0, 0, 0, time.UTC)
 
@@ -79,13 +78,13 @@ func TestFanoutStressBothTransports(t *testing.T) {
 		KeepAlive:  time.Hour,
 		BufferSize: nelem + 16,
 	}
-	sinks := make([]*fanouttest.Sink, nsub)
+	sinks := make([]*Sink, nsub)
 	for i := range sinks {
-		sinks[i] = fanouttest.Connect(srv, fanouttest.RandSub(r), i%2 == 1)
+		sinks[i] = Connect(srv, RandSub(r), i%2 == 1)
 	}
 	waitSubscribers(t, srv, nsub, 60*time.Second)
 
-	pubs := fanouttest.RandPubs(r, nelem, stressT0)
+	pubs := RandPubs(r, nelem, stressT0)
 	keys := make([]string, nelem)
 	for j := range pubs {
 		keys[j] = pubs[j].Key()
@@ -174,7 +173,7 @@ func TestFanoutStressBothTransports(t *testing.T) {
 	for _, s := range sinks {
 		s.Close()
 	}
-	fanouttest.WaitGoroutines(t, baseline, 30*time.Second)
+	WaitGoroutines(t, baseline, 30*time.Second)
 }
 
 // TestShardIndexSupersetProperty pins the pre-index contract Publish
@@ -190,7 +189,7 @@ func TestShardIndexSupersetProperty(t *testing.T) {
 		var ix rislive.TestIndex
 		subs := make([]rislive.Subscription, 1+r.Intn(10))
 		for i := range subs {
-			subs[i] = fanouttest.RandSub(r)
+			subs[i] = RandSub(r)
 			ix.Add(&subs[i])
 		}
 		// Remove a random subset so refcount decrements are part of the
@@ -203,7 +202,7 @@ func TestShardIndexSupersetProperty(t *testing.T) {
 				live = append(live, subs[i])
 			}
 		}
-		for _, p := range fanouttest.RandPubs(r, 20, stressT0) {
+		for _, p := range RandPubs(r, 20, stressT0) {
 			e := p.Elem
 			brute := false
 			for i := range live {
@@ -360,12 +359,12 @@ func TestServerCloseStopsShards(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	srv := &rislive.Server{Shards: 6, KeepAlive: 20 * time.Millisecond, BufferSize: 128}
 	const nsub = 32
-	sinks := make([]*fanouttest.Sink, nsub)
+	sinks := make([]*Sink, nsub)
 	for i := range sinks {
-		sinks[i] = fanouttest.Connect(srv, fanouttest.RandSub(r), i%2 == 0)
+		sinks[i] = Connect(srv, RandSub(r), i%2 == 0)
 	}
 	waitSubscribers(t, srv, nsub, 10*time.Second)
-	for _, p := range fanouttest.RandPubs(r, 50, stressT0) {
+	for _, p := range RandPubs(r, 50, stressT0) {
 		p.Publish(srv)
 	}
 
@@ -387,5 +386,5 @@ func TestServerCloseStopsShards(t *testing.T) {
 	if got := srv.Stats().Published; got != published {
 		t.Fatalf("publish after Close went through (published %d -> %d)", published, got)
 	}
-	fanouttest.WaitGoroutines(t, baseline, 15*time.Second)
+	WaitGoroutines(t, baseline, 15*time.Second)
 }
