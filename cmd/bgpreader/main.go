@@ -181,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repair     = fs.Bool("repair", false, "backfill push-feed loss windows (reconnects, server drops) from the pull source given by -broker/-d/-csv; requires -ris-live")
 		repairCur  = fs.String("repair-cursor", "", "repair cursor file: persist the completeness watermark and unrepaired windows so repairs survive restarts (requires -repair)")
 		repairConc = fs.Int("repair-concurrency", 0, "backfill fetches in flight at once (0 = default 2; requires -repair)")
-		decodeWrk  = fs.Int("decode-workers", 0, "parallel ingest: dump files of an overlap partition decoded concurrently (0 = GOMAXPROCS, 1 = sequential; pull sources only)")
+		decodeWrk  = fs.Int("decode-workers", 0, "parallel ingest: dump files decoded concurrently (0 = GOMAXPROCS, 1 = sequential; pull sources only)")
 		readahead  = fs.Int("readahead", 0, "per-dump-file decoded-record readahead bound (0 = default 64, one batch; pull sources only)")
 		fetchRetry = fs.Int("fetch-retries", 0, "attempts per transient network failure on dump fetches and broker queries (0 = default 3; pull sources only)")
 		window     = fs.String("w", "", "time window: start[,end] unix seconds; omit end for live mode")

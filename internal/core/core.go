@@ -148,10 +148,14 @@ func (r *Record) Time() time.Time {
 // microseconds) used on the merge hot path instead of time.Time.
 func (r *Record) timeKey() uint64 {
 	if r.Status != StatusValid && r.MRT.Header.Timestamp == 0 {
-		return uint64(r.DumpTime.Unix()) << 20
+		return uint64(secondsKey(r.DumpTime.Unix()))
 	}
 	return uint64(r.MRT.Header.Timestamp)<<20 | uint64(r.MRT.Header.Microseconds)
 }
+
+// secondsKey is the timeKey of a whole Unix second, signed so that a
+// merge join time before the epoch sorts below every record.
+func secondsKey(sec int64) int64 { return sec << 20 }
 
 // PeerIndex exposes the peer index table in effect for this record
 // (TABLE_DUMP_V2 dumps only).

@@ -105,7 +105,8 @@ func (c *CSVFile) NextBatch(ctx context.Context) ([]archive.DumpMeta, error) {
 
 // Directory is a data interface over a local archive tree in the
 // on-disk layout of archive.Store. The whole scan is delivered as one
-// batch; the Stream's own partitioning keeps merge fan-in bounded.
+// batch; the Stream's sweep merge keeps merge fan-in to the files
+// live at one instant.
 type Directory struct {
 	Dir  string
 	done bool

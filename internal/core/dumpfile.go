@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpstream-go/bgpstream/internal/archive"
@@ -49,6 +50,9 @@ func openDump(ctx context.Context, fetch *resilience.Fetcher, url string) (io.Re
 	}
 	return os.Open(url)
 }
+
+// openDumps counts the dump files open across the process.
+var openDumps atomic.Int64
 
 // dumpSource reads one dump file as a queue of *Record, implementing
 // merge.Source. It opens the file lazily on first use, annotates
@@ -144,9 +148,12 @@ func (s *dumpSource) open() error {
 	// make out of the reader's reusable scratch.
 	mr.StableBodies(0)
 	s.rc, s.mr = rc, mr
+	openDumps.Add(1)
 	return nil
 }
 
+// close releases the file, and the record arena, whose free records
+// would pin their chunk and the reader's body chunks behind it.
 func (s *dumpSource) close() {
 	if s.mr != nil {
 		s.mr.Close()
@@ -155,7 +162,9 @@ func (s *dumpSource) close() {
 	if s.rc != nil {
 		s.rc.Close()
 		s.rc = nil
+		openDumps.Add(-1)
 	}
+	s.recArena = nil
 }
 
 // readRecord pulls the next in-interval record from the file,

@@ -25,6 +25,9 @@ var (
 	metPrefetchReadahead = obsv.Default.Gauge(
 		"bgpstream_prefetch_readahead_records",
 		"Records decoded ahead of the merge across all readahead queues. Approximate at batch granularity.")
+	metMergeOutOfInterval = obsv.Default.Counter(
+		"bgpstream_merge_out_of_interval_total",
+		"Valid records merged after a later-stamped valid record: stamped before their dump file's start minus the merge slack, or across batches. Delivered, never dropped.")
 	metPrefetchStalls = obsv.Default.Counter(
 		"bgpstream_prefetch_stalls_total",
 		"Merge-side pops that blocked because a decode worker had not caught up.")

@@ -14,14 +14,19 @@ import (
 // §3.3.4 merge heap — file open, gzip decompression, MRT parsing,
 // time filtering — inline on the consumer goroutine, so a stream over
 // N overlapping dumps uses one core no matter how many files
-// interleave. The parallel pipeline gives every dump file in an
-// overlap partition a decode worker that prefetches records into a
-// bounded readahead queue; the number of workers decoding at any
-// instant is capped by a shared semaphore (Stream.SetDecodeWorkers,
-// default GOMAXPROCS), so the record the merge heap pops next has
-// usually been decoded ahead of the pop. The merge still pulls in
-// strict §3.3.4 order — when a queue runs dry it blocks on that
-// file's worker (counted as a prefetch stall).
+// interleave. The parallel pipeline gives every dump file a decode
+// worker that prefetches records into a bounded readahead queue; the
+// number of workers decoding at any instant is capped by a shared
+// semaphore (Stream.SetDecodeWorkers, default GOMAXPROCS), so the
+// record the merge heap pops next has usually been decoded ahead of
+// the pop. The merge still pulls in strict §3.3.4 order — when a queue
+// runs dry it blocks on that file's worker (counted as a prefetch
+// stall).
+//
+// Workers start in the sweep merge's join order: when the merge first
+// pulls file i, the workers of files i through i+lookahead start, so
+// open files and decoded-ahead memory scale with the files live at
+// one instant plus the lookahead, not with the batch.
 //
 // Ordering stays byte-for-byte identical to the sequential pipeline:
 // each worker preserves its file's record order, and the merge heap's
@@ -45,10 +50,15 @@ const (
 	// one batch, a queue depth of 1. Each open dump file then holds at
 	// most two decoded batches ahead of the merge, one queued and one
 	// in its worker's hand. A deeper default read no faster on the
-	// bench corpus, and with 100+ files in one overlap partition it held
-	// most of the window decoded in memory.
+	// bench corpus.
 	defaultReadahead = prefetchBatchSize
 )
+
+// lookahead is how many files past the one the merge joins have their
+// workers started: enough to keep every decode slot busy while the
+// live files' workers park on full queues, plus two so that a file's
+// first batch is usually decoded when the frontier reaches it.
+func lookahead(workers int) int { return workers + 2 }
 
 // prefetchBatch is one readahead-queue entry: a run of consecutive
 // records from one dump file, or the terminal error.
@@ -57,74 +67,17 @@ type prefetchBatch struct {
 	err  error // non-EOF terminal error, delivered after recs
 }
 
-// prefetchGroup ties the prefetch sources of one overlap partition
-// together: workers start as a group (the §3.3.4 merge primes every
-// source of a partition before popping, so starting on first pull
-// would serialise the first batch of each file), and share the
-// stream-wide decode semaphore and stop channel.
-//
-// Groups are chained in partition order (next): when a group starts,
-// it also launches the workers of the following partition, so group
-// N+1's files are opened, gunzipped and decoded into their readahead
-// queues while the merge heap is still draining group N. This removes
-// the partition-boundary bubble — without it, every partition handoff
-// idled all workers for a full cold start (open + first batch of each
-// file). The lookahead is exactly one partition and non-cascading
-// (launching N+1 does not launch N+2 until the merge reaches N+1), so
-// open-file and queue memory stays bounded at two partitions, and the
-// shared semaphore keeps total decode concurrency unchanged. Ordering
-// is unaffected: the merge heap's pop order depends only on per-source
-// record sequences, never on when decoding happened.
-type prefetchGroup struct {
-	sem     chan struct{} // stream-wide decode-concurrency bound
-	stop    chan struct{} // closed by Stream.Close: abandon work
-	members []*prefetchSource
-	next    *prefetchGroup // following overlap partition, if any
-	once    sync.Once
-}
-
-// start launches this group's workers and — cross-partition prefetch —
-// the next group's, each exactly once.
-func (g *prefetchGroup) start() {
-	g.launch()
-	if g.next != nil {
-		g.next.launch()
-	}
-}
-
-// launch starts every member's decode worker exactly once, without
-// cascading into the next group.
-func (g *prefetchGroup) launch() {
-	g.once.Do(func() {
-		for _, m := range g.members {
-			go m.run()
-		}
-	})
-}
-
 // prefetchSource adapts one dump file to merge.Source[*Record]:
 // a decode worker fills the bounded readahead channel, the merge-side
 // Next drains it batch by batch.
 type prefetchSource struct {
 	inner *dumpSource
-	g     *prefetchGroup
+	p     *prefetchPipeline
+	idx   int // join order within the pipeline
 	ch    chan prefetchBatch
 
 	cur prefetchBatch
 	i   int
-}
-
-func newPrefetchSource(inner *dumpSource, g *prefetchGroup, readahead int) *prefetchSource {
-	if readahead <= 0 {
-		readahead = defaultReadahead
-	}
-	depth := readahead / prefetchBatchSize
-	if depth < 1 {
-		depth = 1
-	}
-	s := &prefetchSource{inner: inner, g: g, ch: make(chan prefetchBatch, depth)}
-	g.members = append(g.members, s)
-	return s
 }
 
 // run is the decode worker: open, gunzip, MRT-parse and time-filter
@@ -134,7 +87,7 @@ func (s *prefetchSource) run() {
 	defer func() {
 		close(s.ch)
 		select {
-		case <-s.g.stop:
+		case <-s.p.halt:
 			// Abandoned: the merge will never pop what is queued.
 			s.drain()
 		default:
@@ -145,12 +98,13 @@ func (s *prefetchSource) run() {
 		// (slot free, queue not full) otherwise keeps its processor:
 		// workers launched after it and the consumer it just woke wait
 		// in the run queue until it fills its readahead queue or is
-		// preempted, so the merge, which needs every source's first
-		// batch, stalls behind the few files that happened to start.
+		// preempted, so the merge, which needs the first batch of every
+		// file joining it, stalls behind the few files that happened to
+		// start.
 		runtime.Gosched()
 		select {
-		case s.g.sem <- struct{}{}:
-		case <-s.g.stop:
+		case s.p.sem <- struct{}{}:
+		case <-s.p.halt:
 			s.inner.close()
 			return
 		}
@@ -166,12 +120,12 @@ func (s *prefetchSource) run() {
 			recs = append(recs, rec)
 		}
 		metPrefetchBusy.Dec()
-		<-s.g.sem
+		<-s.p.sem
 		if len(recs) > 0 {
 			metPrefetchReadahead.Add(int64(len(recs)))
 			select {
 			case s.ch <- prefetchBatch{recs: recs}:
-			case <-s.g.stop:
+			case <-s.p.halt:
 				metPrefetchReadahead.Add(-int64(len(recs)))
 				s.inner.close()
 				return
@@ -184,7 +138,7 @@ func (s *prefetchSource) run() {
 			if !errors.Is(err, io.EOF) {
 				select {
 				case s.ch <- prefetchBatch{err: err}:
-				case <-s.g.stop:
+				case <-s.p.halt:
 				}
 			}
 			return
@@ -216,7 +170,6 @@ func (s *prefetchSource) drain() {
 // Next implements merge.Source[*Record], popping the next prefetched
 // record and blocking only when the decode worker has not caught up.
 func (s *prefetchSource) Next() (*Record, error) {
-	s.g.start()
 	for {
 		if s.i < len(s.cur.recs) {
 			r := s.cur.recs[s.i]
@@ -227,6 +180,8 @@ func (s *prefetchSource) Next() (*Record, error) {
 		if s.cur.err != nil {
 			return nil, s.cur.err
 		}
+		// A no-op after this source's first pull.
+		s.p.launchThrough(s.idx + lookahead(cap(s.p.sem)))
 		if len(s.ch) == 0 {
 			// The decode worker has not caught up; this receive blocks.
 			metPrefetchStalls.Inc()
@@ -241,15 +196,32 @@ func (s *prefetchSource) Next() (*Record, error) {
 }
 
 // prefetchPipeline is the parallel pipeline of one batch: one
-// prefetch source per dump file, grouped per overlap partition, all
-// bounded by one decode semaphore (sem, one slot per worker).
+// prefetch source per dump file in join order, all bounded by one
+// decode semaphore (sem, one slot per worker). Only the consumer
+// goroutine calls source, launchThrough and stop.
 type prefetchPipeline struct {
 	sem       chan struct{}
-	halt      chan struct{} // every group's stop channel
+	halt      chan struct{} // closed by stop: abandon work
 	readahead int
-	groups    []*prefetchGroup
 	all       []*prefetchSource
+	launched  int // all[:launched] have a worker
 	once      sync.Once
+}
+
+// source wraps ds, the next dump file in join order, for the merge.
+func (p *prefetchPipeline) source(ds *dumpSource) merge.Source[*Record] {
+	depth := max(p.readahead, defaultReadahead) / prefetchBatchSize
+	src := &prefetchSource{inner: ds, p: p, idx: len(p.all), ch: make(chan prefetchBatch, depth)}
+	p.all = append(p.all, src)
+	return src
+}
+
+// launchThrough starts the decode workers of every source up to index
+// i that has none yet, in join order.
+func (p *prefetchPipeline) launchThrough(i int) {
+	for ; p.launched <= i && p.launched < len(p.all); p.launched++ {
+		go p.all[p.launched].run()
+	}
 }
 
 // stop (idempotent) abandons every worker (see Stream.Close) and
@@ -262,20 +234,4 @@ func (p *prefetchPipeline) stop() {
 			m.drain()
 		}
 	})
-}
-
-// source wraps ds, the next dump file of overlap partition part, for
-// the merge. Partitions arrive in order, so a new part index opens the
-// next group of the cross-partition lookahead chain.
-func (p *prefetchPipeline) source(part int, ds *dumpSource) merge.Source[*Record] {
-	if part == len(p.groups) {
-		g := &prefetchGroup{sem: p.sem, stop: p.halt}
-		if part > 0 {
-			p.groups[part-1].next = g
-		}
-		p.groups = append(p.groups, g)
-	}
-	src := newPrefetchSource(ds, p.groups[part], p.readahead)
-	p.all = append(p.all, src)
-	return src
 }

@@ -28,7 +28,7 @@ func writeDumpFile(t *testing.T, dir, collector string, ts int64, n int) archive
 // prefetchWorkersParked reports whether every live decode worker is
 // blocked in a select (a full readahead queue, or a semaphore slot)
 // rather than decoding or not yet started, judged from the goroutine
-// dump: a worker is any goroutine created by prefetchGroup.launch. No
+// dump: a worker is any goroutine created by launchThrough. No
 // live worker counts as parked; a goroutine whose stack the dump
 // cannot show might be a worker, so it does not.
 func prefetchWorkersParked() bool {
@@ -45,7 +45,7 @@ func prefetchWorkersParked() bool {
 		if strings.Contains(g, "stack unavailable") {
 			return false
 		}
-		if !strings.Contains(g, "core.(*prefetchGroup).launch") {
+		if !strings.Contains(g, "core.(*prefetchPipeline).launchThrough") {
 			continue
 		}
 		header, _, _ := strings.Cut(g, "\n")
@@ -74,27 +74,27 @@ func waitFor(deadline time.Duration, cond func() bool) bool {
 func TestPrefetchDefaultReadaheadBound(t *testing.T) {
 	meta := writeDumpFile(t, t.TempDir(), "rrc00", 1000, 1500)
 	before := metPrefetchReadahead.Value()
-	g := &prefetchGroup{sem: make(chan struct{}, 2), stop: make(chan struct{})}
-	newPrefetchSource(newDumpSource(context.Background(), nil, meta, nil), g, 0)
-	g.launch()
+	p := &prefetchPipeline{sem: make(chan struct{}, 2), halt: make(chan struct{})}
+	p.source(newDumpSource(context.Background(), nil, meta, nil))
+	p.launchThrough(0)
 	if !waitFor(5*time.Second, prefetchWorkersParked) {
 		t.Fatal("decode worker never parked")
 	}
 	if got := metPrefetchReadahead.Value() - before; got > 2*prefetchBatchSize {
 		t.Errorf("parked worker holds %d decoded records, want <= %d", got, 2*prefetchBatchSize)
 	}
-	close(g.stop)
+	close(p.halt)
 	if !waitFor(2*time.Second, func() bool { return metPrefetchReadahead.Value() == before }) {
 		t.Errorf("readahead gauge %d after stop, want %d", metPrefetchReadahead.Value(), before)
 	}
 }
 
 // TestPrefetchEarlyCloseReleasesReadahead closes a wide parallel
-// stream after one record: every decode worker must exit and the
-// readahead gauge must return to its value before the open, for
-// workers parked on a full queue, workers of the not yet merged
-// lookahead partition, and workers that queued a whole small file
-// and exited before Close.
+// stream after one record: every decode worker must exit, every dump
+// file must close, and the readahead and merge heap gauges must return
+// to their values before the open, for workers parked on a full queue,
+// workers launched ahead of files the merge has not joined, and
+// workers that queued a whole small file and exited before Close.
 func TestPrefetchEarlyCloseReleasesReadahead(t *testing.T) {
 	dir := t.TempDir()
 	var metas []archive.DumpMeta
@@ -108,6 +108,8 @@ func TestPrefetchEarlyCloseReleasesReadahead(t *testing.T) {
 		}
 	}
 	baseGauge := metPrefetchReadahead.Value()
+	baseHeap := metHeapSizeView.Value()
+	baseOpen := openDumps.Load()
 	baseGoroutines := runtime.NumGoroutine()
 
 	s := NewStream(context.Background(), &SingleFiles{Metas: metas}, Filters{})
@@ -118,11 +120,15 @@ func TestPrefetchEarlyCloseReleasesReadahead(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := metHeapSizeView.Value(); got != baseHeap {
+		t.Errorf("after Close: merge heap gauge %d, want %d", got, baseHeap)
+	}
 	settled := waitFor(2*time.Second, func() bool {
-		return metPrefetchReadahead.Value() == baseGauge && runtime.NumGoroutine() <= baseGoroutines
+		return metPrefetchReadahead.Value() == baseGauge && openDumps.Load() == baseOpen &&
+			runtime.NumGoroutine() <= baseGoroutines
 	})
 	if !settled {
-		t.Fatalf("after Close: readahead gauge %d (want %d), goroutines %d (want <= %d)",
-			metPrefetchReadahead.Value(), baseGauge, runtime.NumGoroutine(), baseGoroutines)
+		t.Fatalf("after Close: readahead gauge %d (want %d), %d files open (want %d), goroutines %d (want <= %d)",
+			metPrefetchReadahead.Value(), baseGauge, openDumps.Load(), baseOpen, runtime.NumGoroutine(), baseGoroutines)
 	}
 }

@@ -22,6 +22,16 @@ import (
 // buildDump encodes n update records, gzip-compressed when gz is set.
 func buildDump(t *testing.T, n int, gz bool) []byte {
 	t.Helper()
+	stamps := make([]uint32, n)
+	for i := range stamps {
+		stamps[i] = uint32(1000 + i)
+	}
+	return buildStampedDump(t, stamps, gz)
+}
+
+// buildStampedDump builds a dump with one UPDATE per stamp, in order.
+func buildStampedDump(t *testing.T, stamps []uint32, gz bool) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	var w *mrt.Writer
 	if gz {
@@ -30,13 +40,13 @@ func buildDump(t *testing.T, n int, gz bool) []byte {
 		w = mrt.NewWriter(&buf)
 	}
 	origin := uint8(bgp.OriginIGP)
-	for i := 0; i < n; i++ {
+	for i, ts := range stamps {
 		u := &bgp.Update{
 			Attrs: bgp.PathAttributes{Origin: &origin, ASPath: bgp.SequencePath(64501, uint32(1+i%7)), HasASPath: true,
 				NextHop: netip.MustParseAddr("192.0.2.1")},
 			NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)},
 		}
-		rec := mrt.NewUpdateRecord(uint32(1000+i), 64501, 65000,
+		rec := mrt.NewUpdateRecord(ts, 64501, 65000,
 			netip.MustParseAddr("192.0.2.10"), netip.MustParseAddr("192.0.2.254"), u)
 		if err := w.WriteRecord(rec); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -22,9 +23,10 @@ import (
 // mode) or forever (live mode).
 //
 // Records arrive sorted by MRT timestamp across all selected dumps.
-// Sorting follows §3.3.4: each batch of dump files is partitioned into
-// disjoint subsets of time-overlapping files and a multi-way merge is
-// applied per subset.
+// Sorting is §3.3.4's multi-way merge run as a sweep line: a batch's
+// dump files are opened in start order as the merge reaches them (see
+// mergeSlack) and leave it at EOF, so only the files live at the
+// current instant, plus a few prefetched ahead, are open.
 type Stream struct {
 	di DataInterface
 	// compiled is the current filter snapshot. A snapshot is never
@@ -40,10 +42,11 @@ type Stream struct {
 
 	mu sync.Mutex // serialises filter updates; guards err and fetcher
 
-	seq     *merge.Sequence[*Record]
-	lastSrc *Record     // last record handed out in push mode
-	closed  atomic.Bool // set by Close, possibly from another goroutine
-	err     error       // terminal error recorded by the iterators (guarded by mu)
+	merger  *merge.Merger[*Record] // the current batch's sweep merge
+	lastKey uint64                 // timeKey of the latest valid record merged
+	lastSrc *Record                // last record handed out in push mode
+	closed  atomic.Bool            // set by Close, possibly from another goroutine
+	err     error                  // terminal error recorded by the iterators (guarded by mu)
 
 	// decodeWorkers and readahead configure the parallel ingest
 	// pipeline (see prefetch.go); stopPipeline abandons the current
@@ -117,12 +120,11 @@ func newStream(ctx context.Context, di DataInterface, es ElemSource, filters Fil
 }
 
 // SetDecodeWorkers bounds the decode workers of the parallel ingest
-// pipeline: up to n dump files of an overlap partition are opened,
-// gunzipped and MRT-parsed concurrently while the merge heap pops
-// ready records, with per-partition time ordering byte-for-byte
-// identical to a sequential run. n <= 0 (the default) selects
-// GOMAXPROCS; n == 1 selects the sequential in-line pipeline (no
-// worker goroutines). Call before iteration starts; batches already
+// pipeline: up to n dump files are opened, gunzipped and MRT-parsed
+// concurrently while the merge heap pops ready records, with time
+// ordering byte-for-byte identical to a sequential run. n <= 0 (the
+// default) selects GOMAXPROCS; n == 1 selects the sequential in-line
+// pipeline (no worker goroutines). Call before iteration starts; batches already
 // being merged keep their pipeline.
 func (s *Stream) SetDecodeWorkers(n int) { s.decodeWorkers = n }
 
@@ -214,26 +216,31 @@ func (s *Stream) AddCommunityFilter(f CommunityFilter) {
 	s.compiled.Store(CompileFilters(next))
 }
 
-// buildSequence partitions a batch of dump metas into overlapping
-// subsets and stacks a merger per subset. With one decode worker each
-// dump file feeds the merge directly (decoded inline on the consumer);
-// with more, through the parallel prefetch pipeline (prefetch.go).
-// Ordering is identical either way.
-func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record] {
-	intervals := make([]merge.Interval, len(metas))
-	for i, m := range metas {
-		start, end := m.Interval()
-		intervals[i] = merge.Interval{Start: start, End: end}
-	}
-	groups := merge.PartitionOverlapping(intervals)
+// mergeSlack is how many seconds before its declared start a dump
+// file's records may be stamped and still come out in time order: a
+// file joins the sweep merge when the frontier reaches start minus
+// mergeSlack. An earlier record is delivered late and counted
+// (bgpstream_merge_out_of_interval_total); a record after its file's
+// end needs no slack, as the file stays in the merge until its EOF.
+// Files join in start order, so merge.Merger's tie rule yields the
+// order of a §3.3.4 merge that opens every file before its first pop.
+const mergeSlack = 60
+
+// buildMerger sorts a batch of dump metas by declared start and
+// builds the batch's sweep merge over them. With one decode worker
+// each dump file feeds the merge directly (decoded inline on the
+// consumer); with more, through the parallel prefetch pipeline
+// (prefetch.go). Ordering is identical either way.
+func (s *Stream) buildMerger(metas []archive.DumpMeta) *merge.Merger[*Record] {
+	slices.SortStableFunc(metas, func(a, b archive.DumpMeta) int { return cmp.Compare(a.Time.Unix(), b.Time.Unix()) })
 	workers := s.decodeWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	toSource := func(_ int, ds *dumpSource) merge.Source[*Record] { return ds }
+	toSource := func(ds *dumpSource) merge.Source[*Record] { return ds }
 	if workers > 1 {
 		// A fresh batch replaces the previous pipeline; its workers have
-		// drained (the sequence hit EOF), so stopping is bookkeeping.
+		// drained (the merge hit EOF), so stopping is bookkeeping.
 		if s.stopPipeline != nil {
 			s.stopPipeline()
 		}
@@ -242,14 +249,14 @@ func (s *Stream) buildSequence(metas []archive.DumpMeta) *merge.Sequence[*Record
 	}
 	fetch := s.fetch()
 	window := s.compiled.Load()
-	srcGroups := make([][]merge.Source[*Record], len(groups))
-	for i, g := range groups {
-		srcGroups[i] = make([]merge.Source[*Record], 0, len(g))
-		for _, idx := range g {
-			srcGroups[i] = append(srcGroups[i], toSource(i, newDumpSource(s.ctx, fetch, metas[idx], window)))
-		}
+	sources := make([]merge.Source[*Record], len(metas))
+	joinAt := make([]int64, len(metas))
+	for i, m := range metas {
+		start, _ := m.Interval()
+		joinAt[i] = secondsKey(start - mergeSlack)
+		sources[i] = toSource(newDumpSource(s.ctx, fetch, m, window))
 	}
-	return merge.NewSequence(recordLess, srcGroups...)
+	return merge.NewSweep(recordLess, func(r *Record) int64 { return int64(r.timeKey()) }, joinAt, sources)
 }
 
 // matchSourceRecord applies the meta-data filters to a pushed record:
@@ -306,7 +313,7 @@ func (s *Stream) Next() (*Record, error) {
 		}
 	}
 	for {
-		if s.seq == nil {
+		if s.merger == nil {
 			metas, err := s.di.NextBatch(s.ctx)
 			if errors.Is(err, io.EOF) {
 				// Exhausted for good: mark closed so the health registry
@@ -328,15 +335,22 @@ func (s *Stream) Next() (*Record, error) {
 			if len(selected) == 0 {
 				continue
 			}
-			s.seq = s.buildSequence(selected)
+			s.merger = s.buildMerger(selected)
 		}
-		rec, err := s.seq.Next()
+		rec, err := s.merger.Next()
 		if errors.Is(err, io.EOF) {
-			s.seq = nil
+			s.merger = nil
 			continue
 		}
 		if err != nil {
 			return nil, err
+		}
+		if rec.Status == StatusValid {
+			if k := rec.timeKey(); k < s.lastKey {
+				metMergeOutOfInterval.Inc()
+			} else {
+				s.lastKey = k
+			}
 		}
 		return rec, nil
 	}
@@ -360,8 +374,9 @@ func (s *Stream) Close() error {
 		// close their dump files and exit.
 		s.stopPipeline()
 	}
-	if !alreadyClosed {
-		s.seq = nil
+	if !alreadyClosed && s.merger != nil {
+		s.merger.Close()
+		s.merger = nil
 	}
 	return nil
 }

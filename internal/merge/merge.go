@@ -1,8 +1,9 @@
 // Package merge implements the record-sorting machinery of
 // libBGPStream §3.3.4: a k-way merge over ordered record queues
-// (container/heap based) and the partitioning step that splits a dump
-// file set into disjoint subsets of time-overlapping files so that
-// each multi-way merge touches only the files that actually interleave.
+// (container/heap based), which the stream runs as a sweep line
+// (NewSweep) so that the heap holds only the files live at one
+// instant, and the paper's step that splits a dump file set into
+// subsets of time-overlapping files (PartitionOverlapping).
 package merge
 
 import (
@@ -64,45 +65,72 @@ func (h *mergeHeap[T]) Pop() any {
 	old := h.items
 	n := len(old)
 	it := old[n-1]
+	old[n-1] = heapItem[T]{} // release the item for GC
 	h.items = old[:n-1]
 	return it
 }
 
 // Merger yields items from multiple ordered sources as one ordered
-// stream. Ties preserve source insertion order, so records from the
-// same file never reorder.
+// stream. A source joins the heap on its first pull and leaves it,
+// dropped by the merger, at EOF. Equal items come out in arrival
+// order: source i's first item arrives as number i, every later item
+// as the next number from len(sources) up. That is the order of a
+// merge that pulls every first item before its first pop, whenever
+// sources join, and records from one source never reorder.
 type Merger[T any] struct {
-	h       *mergeHeap[T]
+	h       mergeHeap[T]
 	sources []Source[T]
-	started bool
-	seq     uint64
-	err     error
+	// key and joinAt drive the sweep (NewSweep); a nil key joins
+	// every source at the first Next.
+	key    func(T) int64
+	joinAt []int64
+	joined int // sources[:joined] have joined
+	seq    uint64
+	err    error
 }
 
-// NewMerger builds a merger over sources ordered by less.
+// NewMerger builds a merger over sources ordered by less. Every source
+// joins at the first Next.
 func NewMerger[T any](less func(a, b T) bool, sources ...Source[T]) *Merger[T] {
 	return &Merger[T]{
-		h:       &mergeHeap[T]{less: less},
+		h:       mergeHeap[T]{less: less},
 		sources: sources,
+		seq:     uint64(len(sources)),
 	}
 }
 
-func (m *Merger[T]) prime() error {
-	for i, src := range m.sources {
-		v, err := src.Next()
+// NewSweep builds a sweep-line merger: sources[i] joins the heap when
+// the frontier, the key of the heap's top item, reaches joinAt[i]
+// (non-decreasing, one per source), or when the heap is empty. While
+// no item is keyed below its source's joinAt, the output is NewMerger's
+// item for item; such an item is delivered after the frontier passed.
+func NewSweep[T any](less func(a, b T) bool, key func(T) int64, joinAt []int64, sources []Source[T]) *Merger[T] {
+	m := NewMerger(less, sources...)
+	m.key, m.joinAt = key, joinAt
+	return m
+}
+
+// join pulls the first item of every source that is due, and of the
+// next one whenever the heap is empty.
+func (m *Merger[T]) join() error {
+	for m.joined < len(m.sources) {
+		if len(m.h.items) > 0 && m.key != nil && m.joinAt[m.joined] > m.key(m.h.items[0].value) {
+			return nil
+		}
+		i := m.joined
+		m.joined++
+		v, err := m.sources[i].Next()
 		if errors.Is(err, io.EOF) {
+			m.sources[i] = nil
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		m.h.items = append(m.h.items, heapItem[T]{value: v, src: i, seq: m.seq})
-		m.seq++
+		m.h.items = append(m.h.items, heapItem[T]{value: v, src: i, seq: uint64(i)})
+		heap.Fix(&m.h, len(m.h.items)-1)
+		metHeapSize.Inc()
 	}
-	heap.Init(m.h)
-	m.started = true
-	metPartitions.Inc()
-	metHeapSize.Add(int64(len(m.h.items)))
 	return nil
 }
 
@@ -113,13 +141,13 @@ func (m *Merger[T]) Next() (T, error) {
 	if m.err != nil {
 		return zero, m.err
 	}
-	if !m.started {
-		if err := m.prime(); err != nil {
+	if m.joined < len(m.sources) {
+		if err := m.join(); err != nil {
 			m.err = err
 			return zero, err
 		}
 	}
-	if m.h.Len() == 0 {
+	if len(m.h.items) == 0 {
 		m.err = io.EOF
 		return zero, io.EOF
 	}
@@ -127,7 +155,8 @@ func (m *Merger[T]) Next() (T, error) {
 	next, err := m.sources[top.src].Next()
 	switch {
 	case errors.Is(err, io.EOF):
-		heap.Pop(m.h)
+		m.sources[top.src] = nil
+		heap.Pop(&m.h)
 		metHeapSize.Dec()
 	case err != nil:
 		m.err = err
@@ -135,9 +164,20 @@ func (m *Merger[T]) Next() (T, error) {
 	default:
 		m.h.items[0] = heapItem[T]{value: next, src: top.src, seq: m.seq}
 		m.seq++
-		heap.Fix(m.h, 0)
+		heap.Fix(&m.h, 0)
 	}
 	return top.value, nil
+}
+
+// Close abandons the merge, retracting the heap from the heap-size
+// gauge; Next then returns io.EOF or the error that ended the merge.
+func (m *Merger[T]) Close() {
+	metHeapSize.Add(-int64(len(m.h.items)))
+	m.h.items = nil
+	m.sources = nil
+	if m.err == nil {
+		m.err = io.EOF
+	}
 }
 
 // Interval is a closed time interval, in the units the caller chooses
@@ -192,39 +232,4 @@ func PartitionOverlapping(intervals []Interval) [][]int {
 	}
 	groups = append(groups, cur)
 	return groups
-}
-
-// Sequence runs a series of mergers back to back: all items of group
-// i precede all items of group i+1. It implements the "apply
-// multi-way merge to each subset" step of §3.3.4.
-type Sequence[T any] struct {
-	groups  [][]Source[T]
-	less    func(a, b T) bool
-	current *Merger[T]
-	idx     int
-}
-
-// NewSequence builds a sequence over ordered groups of sources.
-func NewSequence[T any](less func(a, b T) bool, groups ...[]Source[T]) *Sequence[T] {
-	return &Sequence[T]{groups: groups, less: less}
-}
-
-// Next returns the next item of the overall sequence, or io.EOF.
-func (s *Sequence[T]) Next() (T, error) {
-	var zero T
-	for {
-		if s.current == nil {
-			if s.idx >= len(s.groups) {
-				return zero, io.EOF
-			}
-			s.current = NewMerger(s.less, s.groups[s.idx]...)
-			s.idx++
-		}
-		v, err := s.current.Next()
-		if errors.Is(err, io.EOF) {
-			s.current = nil
-			continue
-		}
-		return v, err
-	}
 }

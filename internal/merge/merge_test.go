@@ -259,22 +259,190 @@ func TestQuickPartitionIsOverlapComponents(t *testing.T) {
 	}
 }
 
-func TestSequenceOrdersGroups(t *testing.T) {
-	s := NewSequence(intLess,
-		[]Source[int]{&SliceSource[int]{Items: []int{1, 5}}, &SliceSource[int]{Items: []int{2}}},
-		[]Source[int]{&SliceSource[int]{Items: []int{0, 9}}}, // later group, smaller values stay after
-	)
-	got := drain(t, s.Next)
-	want := []int{1, 2, 5, 0, 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v want %v", got, want)
+// sweepItem is one item of a differential-test source: its key and
+// where it came from, so outputs compare item for item.
+type sweepItem struct {
+	key      int64
+	src, pos int
+}
+
+// primeAllModel is the reference for the sweep: pull every source's
+// first item before the first pop, then repeatedly take the smallest
+// head by linear scan, ties going to the earliest arrival (first items
+// arrive in source order, each refill after everything before it).
+func primeAllModel(srcs [][]sweepItem) []sweepItem {
+	type head struct {
+		src, pos int
+		arrival  int
+	}
+	var heads []head
+	arrival := 0
+	for i, items := range srcs {
+		if len(items) > 0 {
+			heads = append(heads, head{src: i, arrival: arrival})
+			arrival++
+		}
+	}
+	var out []sweepItem
+	for len(heads) > 0 {
+		best := 0
+		for j := range heads {
+			a, b := srcs[heads[j].src][heads[j].pos], srcs[heads[best].src][heads[best].pos]
+			if a.key < b.key || (a.key == b.key && heads[j].arrival < heads[best].arrival) {
+				best = j
+			}
+		}
+		h := &heads[best]
+		out = append(out, srcs[h.src][h.pos])
+		h.pos++
+		if h.pos == len(srcs[h.src]) {
+			heads = append(heads[:best], heads[best+1:]...)
+		} else {
+			h.arrival = arrival
+			arrival++
+		}
+	}
+	return out
+}
+
+// TestQuickSweepEqualsPrimeAll checks the sweep against primeAllModel
+// over random sources sorted by start, every item keyed within
+// [start - slack, end]: heavy key ties, abutting closed intervals,
+// empty sources, and heads at exactly start and start - slack.
+func TestQuickSweepEqualsPrimeAll(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nsrc := r.Intn(12)
+		slack := int64(r.Intn(4))
+		srcs := make([][]sweepItem, nsrc)
+		joinAt := make([]int64, nsrc)
+		sources := make([]Source[sweepItem], nsrc)
+		start, end := int64(r.Intn(3)), int64(0)
+		for i := range srcs {
+			switch r.Intn(3) {
+			case 0: // abut the previous interval
+				if i > 0 {
+					start = end
+				}
+			case 1:
+				start += int64(r.Intn(4))
+			}
+			end = start + int64(r.Intn(6))
+			joinAt[i] = start - slack
+			n := 0
+			if r.Intn(5) > 0 {
+				n = 1 + r.Intn(8)
+			}
+			keys := make([]int64, n)
+			for j := range keys {
+				keys[j] = joinAt[i] + r.Int63n(end-joinAt[i]+1)
+			}
+			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+			if n > 0 {
+				switch r.Intn(3) {
+				case 0:
+					keys[0] = joinAt[i]
+				case 1:
+					keys[0] = min(start, keys[len(keys)-1])
+				}
+			}
+			for j, k := range keys {
+				srcs[i] = append(srcs[i], sweepItem{key: k, src: i, pos: j})
+			}
+			sources[i] = &SliceSource[sweepItem]{Items: srcs[i]}
+		}
+		m := NewSweep(func(a, b sweepItem) bool { return a.key < b.key },
+			func(it sweepItem) int64 { return it.key }, joinAt, sources)
+		got := drain(t, m.Next)
+		want := primeAllModel(srcs)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: sweep %v, model %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }
 
-func TestSequenceEmptyGroups(t *testing.T) {
-	s := NewSequence[int](intLess)
-	if got := drain(t, s.Next); len(got) != 0 {
-		t.Errorf("got %v", got)
+// countingSource records how often the merger pulled it.
+type countingSource struct {
+	SliceSource[int]
+	pulls int
+}
+
+func (c *countingSource) Next() (int, error) {
+	c.pulls++
+	return c.SliceSource.Next()
+}
+
+// TestSweepJoinsAtFrontier pins the point of the sweep: a source is
+// not pulled before the frontier reaches its joinAt, or the heap runs
+// empty, and the merger drops each source at its EOF.
+func TestSweepJoinsAtFrontier(t *testing.T) {
+	a := &countingSource{SliceSource: SliceSource[int]{Items: []int{0, 1, 2}}}
+	b := &countingSource{SliceSource: SliceSource[int]{Items: []int{12, 13}}}
+	c := &countingSource{SliceSource: SliceSource[int]{Items: []int{13}}}
+	m := NewSweep(intLess, func(v int) int64 { return int64(v) }, []int64{0, 10, 13}, []Source[int]{a, b, c})
+	pulls := func() [3]int { return [3]int{a.pulls, b.pulls, c.pulls} }
+	steps := []struct {
+		want  int
+		pulls [3]int
+	}{
+		{0, [3]int{2, 0, 0}},
+		{1, [3]int{3, 0, 0}},
+		{2, [3]int{4, 0, 0}},  // a's EOF
+		{12, [3]int{4, 2, 0}}, // heap empty: b joins at 12 < 13
+		{13, [3]int{4, 2, 2}}, // frontier 13: c joins; a first item beats b's refill
+		{13, [3]int{4, 3, 2}},
+	}
+	for i, st := range steps {
+		v, err := m.Next()
+		if err != nil || v != st.want || pulls() != st.pulls {
+			t.Fatalf("step %d: got %d, %v, pulls %v; want %d, pulls %v", i, v, err, pulls(), st.want, st.pulls)
+		}
+	}
+	if _, err := m.Next(); err != io.EOF {
+		t.Fatalf("after the last item: %v, want EOF", err)
+	}
+	for i, src := range m.sources {
+		if src != nil {
+			t.Errorf("source %d still referenced after its EOF", i)
+		}
+	}
+}
+
+// TestMergerHeapGaugeRetracts: the heap-size gauge returns to its value
+// before the merge both at EOF and after Close of a merge abandoned
+// midway, and Close ends the merge.
+func TestMergerHeapGaugeRetracts(t *testing.T) {
+	base := metHeapSize.Value()
+	sources := func() []Source[int] {
+		return []Source[int]{
+			&SliceSource[int]{Items: []int{1, 4}},
+			&SliceSource[int]{Items: []int{2, 5}},
+			&SliceSource[int]{Items: []int{3}},
+		}
+	}
+	m := NewMerger(intLess, sources()...)
+	drain(t, m.Next)
+	if got := metHeapSize.Value(); got != base {
+		t.Errorf("gauge %d after EOF, want %d", got, base)
+	}
+	m = NewMerger(intLess, sources()...)
+	if _, err := m.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metHeapSize.Value() - base; got != 3 {
+		t.Errorf("gauge +%d with three sources joined, want +3", got)
+	}
+	m.Close()
+	if got := metHeapSize.Value(); got != base {
+		t.Errorf("gauge %d after Close, want %d", got, base)
+	}
+	if _, err := m.Next(); err != io.EOF {
+		t.Errorf("Next after Close: %v, want EOF", err)
 	}
 }
 

@@ -122,10 +122,10 @@ func WithRepairOptions(opts RepairOptions) Option {
 }
 
 // WithDecodeWorkers bounds the decode workers of the parallel ingest
-// pipeline on pull (dump-file) streams: up to n files of an overlap
-// partition are opened, gunzipped and MRT-parsed concurrently while
-// the merge heap pops ready records, keeping the §3.3.4 per-partition
-// time order byte-for-byte identical to a sequential run. n <= 0 (the
+// pipeline on pull (dump-file) streams: up to n dump files are
+// opened, gunzipped and MRT-parsed concurrently while the merge heap
+// pops ready records, keeping the §3.3.4 time order byte-for-byte
+// identical to a sequential run. n <= 0 (the
 // default) selects GOMAXPROCS; n == 1 selects the sequential in-line
 // pipeline. Push streams ignore it. The registry equivalent is the
 // "decode-workers" option of the pull sources.

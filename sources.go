@@ -206,7 +206,7 @@ func optDuration(name string, opts SourceOptions, key string, def time.Duration)
 // pipelineOptions are the parallel-ingest options every pull source
 // accepts, mirroring WithDecodeWorkers / WithReadahead.
 var pipelineOptions = []SourceOption{
-	{Name: "decode-workers", Description: "parallel ingest: dump files of an overlap partition decoded concurrently (1 = sequential)", Default: "GOMAXPROCS"},
+	{Name: "decode-workers", Description: "parallel ingest: dump files decoded concurrently (1 = sequential)", Default: "GOMAXPROCS"},
 	{Name: "readahead", Description: "per-dump-file decoded-record readahead bound", Default: "64"},
 }
 
